@@ -37,6 +37,9 @@
 #     (failures print their seed and a one-line repro command);
 #   * a chaos smoke rerun pins one extra seeded fault schedule
 #     (SILC_CHAOS_SEED) beyond the 50 rounds baked into test_fault;
+#   * a deep DRC mode sweep (300 fuzz trials) runs tiled DRC at forced
+#     thread counts, so races in the shared tile table fail CI on any
+#     multi-core host;
 #   * the library and every tier-1 test must also build and pass with the
 #     observability layer compiled out (SILC_OBS=OFF) and with fault
 #     injection compiled out (SILC_FAULT=OFF), so neither no-op macro
@@ -260,6 +263,18 @@ fi
 # field incident yields a schedule worth pinning forever.
 SILC_CHAOS_SEED=20260808 "$BUILD_DIR/test_fault" --gtest_filter='Chaos.*'
 echo "chaos smoke (SILC_CHAOS_SEED=20260808): ok"
+
+# --- tiled DRC, deep seed sweep at forced thread counts -----------------
+# DrcModes.FuzzedSoupsAndHierarchiesAgree checks tiled mode at 1..N
+# threads against flat, but check_tiled clamps to hardware_concurrency, so
+# only a multi-core host runs the tile workers concurrently, and the
+# default seed count rarely lands a race. At 300 trials a lazily filled
+# RectSet::components() cache in the shared table (read by every tile
+# worker, never forced by RuleEngine::prewarm) failed several seeds per
+# run on a 4-core box; this leg keeps that class of race visible.
+SILC_FUZZ_TRIALS=300 "$BUILD_DIR/test_drc" \
+    --gtest_filter=DrcModes.FuzzedSoupsAndHierarchiesAgree
+echo "tiled DRC deep sweep (300 trials): ok"
 
 # --- SILC_OBS=OFF: the compiled-out path must build and pass ------------
 # Every instrumentation macro expands to a no-op and the tracer refuses to

@@ -9,9 +9,9 @@
 //
 // == How a stage declares its invalidation footprint ==
 //
-// Every verification stage that wants an incremental entry point declares,
-// in its own header next to that entry point, which EditSet axes it reads.
-// The convention:
+// Every verification stage that core::IncrementalSession re-runs has a
+// declared footprint — the EditSet axes it reads — written down, and
+// enforced, in core/incremental_session.hpp. The convention:
 //
 //   1. Geometry axis (`CellEdit::geometry_changed`, `EditSet::cells`
 //      added/removed): invalidates any stage that consumes shapes. DRC is
@@ -29,9 +29,8 @@
 //
 // A stage may reuse its baseline result verbatim only when every axis of
 // its declared footprint is clean. Anything finer-grained (per-cell, per
-// window) is the job of the stage's own cache, which the incremental entry
-// points drive warm — the EditSet is the coarse gate, the caches are the
-// fine one. The house invariant holds at every grain:
+// window) is the job of the stage's own cache, which the session drives
+// warm — the EditSet is the coarse gate, the caches are the fine one. The house invariant holds at every grain:
 // edit-then-incremental == recompile-from-scratch, byte-identical
 // (tests/test_incremental.cpp enforces it over randomized edit sequences).
 #pragma once
@@ -83,8 +82,8 @@ struct CellEdit {
   bool naming_changed = false;   ///< naming hash moved
 };
 
-/// The delta between two snapshots: the coarse invalidation gate every
-/// incremental entry point consults (see the conventions block above).
+/// The delta between two snapshots: the coarse invalidation gate the
+/// session consults (see the conventions block above).
 struct EditSet {
   std::vector<CellEdit> cells;
   bool tech_drc_changed = false;

@@ -1,26 +1,62 @@
 // The interactive edit-verify loop: an IncrementalSession owns warm
-// per-cell caches (drc::VerdictCache, extract::NetlistCache), the last
-// library snapshot, and the last verified results. Each verify() call
-// diffs the library against the snapshot (core::EditSet), hands the edit
-// set plus baselines to the stages' incremental entry points, and records
-// the new state as the next baseline — so an unedited verify is a verbatim
-// baseline return, a one-cell edit re-proves one cell plus its interaction
-// windows, and the verdict is byte-identical to a recompile from scratch
-// at every step (tests/test_incremental.cpp).
+// per-cell caches (a core::CacheSet), the last library snapshot, and the
+// last verified results. Each verify() call diffs the library against the
+// snapshot (core::EditSet), reuses a baseline verdict the edit cannot
+// reach, re-proves everything else through the stages' hier→flat entry
+// points against the warm caches, and records the new state as the next
+// baseline — so an unedited verify is a verbatim baseline return, a
+// one-cell edit re-proves one cell plus its interaction windows, and the
+// verdict is byte-identical to a recompile from scratch at every step
+// (tests/test_incremental.cpp).
 //
-// The PR 9 persistent store doubles as a cross-process baseline:
-// load_store() warms the per-cell caches from a silc.store written by an
-// earlier process, so even the FIRST verify of a session reuses cells.
+// Invalidation footprints (see src/core/incremental.hpp conventions):
+//
+//   * DRC reads GEOMETRY and the DRC RULE SIGNATURE only — check_flat
+//     never sees a label — so a naming-only EditSet (and an empty one)
+//     reuses the baseline verdict.
+//   * Extraction also reads NAMING (labels, port and instance names become
+//     node names), so only an empty EditSet reuses the baseline netlist. A
+//     naming-only edit re-runs, but the NetlistCache keys on naming_hash,
+//     so unrenamed cells still hit.
+//
+// Any other edit re-proves through drc::check_hier_or_flat /
+// extract::extract_hier_or_flat: unchanged cells hit their cached entries
+// (their content hashes didn't move); edited cells and the windows
+// touching them pay again. A failure inside the hier path (including the
+// fault sites "incr.drc" / "incr.extract") degrades to a flat recompute of
+// the same verdict; core::Cancelled propagates.
+//
+// The persistent store doubles as a cross-process baseline: load_store()
+// warms the caches from a silc.store written by an earlier process, so
+// even the FIRST verify of a session reuses cells.
 #pragma once
 
 #include <memory>
 #include <string>
 
 #include "core/incremental.hpp"
+#include "core/result_cache.hpp"
 #include "drc/drc.hpp"
 #include "extract/extract.hpp"
 
 namespace silc::core {
+
+/// What verify() did with one stage: how much of the baseline survived
+/// the edit. Mirrored as incr.* counters.
+struct DrcReuse {
+  std::size_t cells_total = 0;    ///< unique cells under top
+  std::size_t cells_reused = 0;   ///< verdicts served from the warm cache
+  std::size_t cells_reproved = 0; ///< verdicts recomputed (edited cells)
+  bool verdict_reused = false;    ///< baseline Result returned verbatim
+  bool fell_back_flat = false;    ///< degraded to a flat recompute
+};
+struct ExtractReuse {
+  std::size_t cells_total = 0;    ///< unique cells under top
+  std::size_t cells_reused = 0;   ///< partial netlists served from cache
+  std::size_t cells_reproved = 0; ///< partial netlists re-extracted
+  bool netlist_reused = false;    ///< baseline Netlist returned verbatim
+  bool fell_back_flat = false;    ///< degraded to a flat re-extract
+};
 
 /// One verify() outcome: the verdicts plus how much of the baseline
 /// survived the edit.
@@ -28,11 +64,11 @@ struct IncrVerdict {
   drc::Result drc;
   extract::Netlist netlist;
   EditSet edits;
-  drc::IncrStats drc_stats;
-  extract::IncrStats extract_stats;
-  /// Wall time each stage's incremental entry point took inside this
-  /// verify() — the numbers the drc.incr/extract.incr latency budgets
-  /// watch (bench_flows feeds them into the budget gate).
+  DrcReuse drc_stats;
+  ExtractReuse extract_stats;
+  /// Wall time each stage took inside this verify() — the numbers the
+  /// drc.incr/extract.incr latency budgets watch (bench_flows feeds them
+  /// into the budget gate).
   double drc_ms = 0;
   double extract_ms = 0;
   /// First verify of this top (no baseline existed yet).
@@ -68,16 +104,15 @@ class IncrementalSession {
   /// the file can't be written (a warning-grade event, never fatal).
   bool save_store(const std::string& cache_dir) const;
 
-  [[nodiscard]] drc::VerdictCache& drc_cache() { return *drc_cache_; }
+  [[nodiscard]] drc::VerdictCache& drc_cache() { return caches_->drc; }
   [[nodiscard]] extract::NetlistCache& extract_cache() {
-    return *extract_cache_;
+    return caches_->extract;
   }
   [[nodiscard]] const LibrarySnapshot& last_snapshot() const { return snap_; }
 
  private:
   tech::Tech tech_;
-  std::unique_ptr<drc::VerdictCache> drc_cache_;
-  std::unique_ptr<extract::NetlistCache> extract_cache_;
+  std::unique_ptr<CacheSet> caches_;
   LibrarySnapshot snap_;
   std::string top_name_;
   drc::Result base_drc_;

@@ -12,7 +12,6 @@
 #include "core/compiler.hpp"
 #include "core/result_cache.hpp"
 #include "fault/fault.hpp"
-#include "store/store.hpp"
 
 namespace silc::core {
 
@@ -103,24 +102,16 @@ const extract::Netlist& DesignDB::netlist() {
       case extract::Mode::Flat:
         netlist_ = extract::extract_flat(flattened());
         break;
-      case extract::Mode::Hier:
+      case extract::Mode::Hier: {
         // No shared flatten: the hierarchical extractor works cell by cell
         // (cached across the run — and the batch — via extract_cache).
-        // Any failure inside the hier path degrades to the flat engine —
-        // byte-identical canonical netlist (the extract contract), slower,
-        // alive. Cancellation is not a failure and must propagate.
-        try {
-          netlist_ = extract::extract_hier(*chip, tech::nmos(),
-                                           options.extract_cache);
-        } catch (const Cancelled&) {
-          throw;
-        } catch (const std::exception& e) {
-          diags.warning("extract",
-                        std::string("hierarchical extraction failed (") +
-                            e.what() + "); falling back to flat extraction");
-          netlist_ = extract::extract_flat(flattened());
-        }
+        std::string failure;
+        netlist_ = extract::extract_hier_or_flat(*chip, tech::nmos(),
+                                                 options.extract_cache,
+                                                 &failure);
+        if (!failure.empty()) diags.warning("extract", failure);
         break;
+      }
     }
     ++extract_runs;
   }
@@ -283,21 +274,13 @@ bool stage_drc(DesignDB& db) {
       db.drc = drc::check_tiled(db.flattened().shapes, tech::nmos(),
                                 db.options.drc_threads);
       break;
-    case drc::Mode::Hier:
-      // Any failure inside the hier path (a poisoned decomposition, an
-      // injected fault) degrades to the flat engine — byte-identical
-      // violation set (the DRC mode contract), slower, alive. Cancellation
-      // is not a failure and must propagate to the stage boundary.
-      try {
-        db.drc = drc::check_hier(*db.chip, tech::nmos(), db.options.drc_cache);
-      } catch (const Cancelled&) {
-        throw;
-      } catch (const std::exception& e) {
-        db.diags.warning("drc", std::string("hierarchical DRC failed (") +
-                                    e.what() + "); falling back to flat");
-        db.drc = drc::check_flat(db.flattened().shapes);
-      }
+    case drc::Mode::Hier: {
+      std::string failure;
+      db.drc = drc::check_hier_or_flat(*db.chip, tech::nmos(),
+                                       db.options.drc_cache, &failure);
+      if (!failure.empty()) db.diags.warning("drc", failure);
       break;
+    }
   }
   const auto& violations = db.drc->violations;
   const std::size_t show = std::min(violations.size(), drc::Result::kMaxReported);
@@ -584,33 +567,22 @@ CompileResult compile(layout::Library& lib, Flow flow,
   // the per-job options), so batch jobs never take this branch.
   if (!options.cache_dir.empty() && options.result_cache == nullptr &&
       options.drc_cache == nullptr && options.extract_cache == nullptr) {
-    const std::string path = options.cache_dir + "/silc.store";
-    store::Store persist;
-    persist.load(path);
-    drc::VerdictCache drc_cache;
-    extract::NetlistCache extract_cache;
-    ResultCache result_cache;
-    drc_cache.load_from(persist);
-    extract_cache.load_from(persist);
-    result_cache.load_from(persist);
+    CacheSet caches;
+    caches.load(options.cache_dir);
     CompileOptions opt = options;
-    opt.drc_cache = &drc_cache;
-    opt.extract_cache = &extract_cache;
-    opt.result_cache = &result_cache;
+    opt.drc_cache = &caches.drc;
+    opt.extract_cache = &caches.extract;
+    opt.result_cache = &caches.result;
     CompileResult r = compile_wired(lib, flow, source, opt);
     // Store-layer notices ride as warnings on this result (warnings never
     // flip ok()); the batch path keeps them in BatchResult::store_diags
     // instead, where byte-identity across runs is CI-gated.
-    if (!persist.load_error().empty()) {
+    if (!caches.load_error.empty()) {
       r.diags.push_back({Severity::Warning, "store",
-                         persist.load_error() + " (cold start)"});
+                         caches.load_error + " (cold start)"});
     }
-    store::Store out(persist.schema());
-    drc_cache.save_to(out);
-    extract_cache.save_to(out);
-    result_cache.save_to(out);
-    if (!out.save(path)) {
-      r.diags.push_back({Severity::Warning, "store", out.save_error()});
+    if (!caches.save(options.cache_dir)) {
+      r.diags.push_back({Severity::Warning, "store", caches.save_error});
     }
     return r;
   }
@@ -661,8 +633,7 @@ BatchResult compile_many(const std::vector<BatchJob>& jobs, int threads) {
   // same design) skip straight to the cached per-cell verdicts and partial
   // netlists. Purely accelerators — both are deterministic, so results
   // stay identical at any thread count.
-  drc::VerdictCache drc_cache;
-  extract::NetlistCache extract_cache;
+  CacheSet caches;
 
   // Persistent store: the first job naming a cache_dir opens the batch's
   // store — loaded ONCE here before the crew starts, saved ONCE after it
@@ -678,23 +649,18 @@ BatchResult compile_many(const std::vector<BatchJob>& jobs, int threads) {
       break;
     }
   }
-  store::Store persist;
-  ResultCache result_cache;
   if (!cache_dir.empty()) {
     const auto t_load = std::chrono::steady_clock::now();
-    persist.load(cache_dir + "/silc.store");
+    caches.load(cache_dir);
     br.store.load_ms = std::chrono::duration<double, std::milli>(
                            std::chrono::steady_clock::now() - t_load)
                            .count();
-    if (!persist.load_error().empty()) {
+    if (!caches.load_error.empty()) {
       br.store.poisoned += 1;
       br.store_diags.push_back({Severity::Warning, "store",
-                                persist.load_error() + " (cold start)"});
+                                caches.load_error + " (cold start)"});
     }
-    br.store.loaded_records = persist.records();
-    drc_cache.load_from(persist);
-    extract_cache.load_from(persist);
-    result_cache.load_from(persist);
+    br.store.loaded_records = caches.loaded_records;
   }
 
   // Same crew pattern as sim::TapePool, one job granularity: an atomic
@@ -723,14 +689,14 @@ BatchResult compile_many(const std::vector<BatchJob>& jobs, int threads) {
         CompileOptions opt = job.options;
         opt.sim_threads = 1;  // one level of parallelism: across designs
         opt.drc_threads = 1;
-        if (opt.drc_cache == nullptr) opt.drc_cache = &drc_cache;
-        if (opt.extract_cache == nullptr) opt.extract_cache = &extract_cache;
+        if (opt.drc_cache == nullptr) opt.drc_cache = &caches.drc;
+        if (opt.extract_cache == nullptr) opt.extract_cache = &caches.extract;
         // The batch owns the persistence cycle; jobs get the shared
         // result cache (when a store is open) and never re-enter the
         // standalone load/save path in compile().
         opt.cache_dir.clear();
         if (!cache_dir.empty() && opt.result_cache == nullptr) {
-          opt.result_cache = &result_cache;
+          opt.result_cache = &caches.result;
         }
         br.results[i] = compile(*lib, job.flow, job.source, opt);
         br.libraries[i] = std::move(lib);
@@ -769,20 +735,16 @@ BatchResult compile_many(const std::vector<BatchJob>& jobs, int threads) {
   // union of what was loaded and what was computed — goes back in one
   // atomic rename. A failed save is a warning, never a failed batch.
   if (!cache_dir.empty()) {
-    store::Store out(persist.schema());
-    drc_cache.save_to(out);
-    extract_cache.save_to(out);
-    result_cache.save_to(out);
     const auto t_save = std::chrono::steady_clock::now();
-    if (!out.save(cache_dir + "/silc.store")) {
-      br.store_diags.push_back({Severity::Warning, "store", out.save_error()});
+    if (!caches.save(cache_dir)) {
+      br.store_diags.push_back({Severity::Warning, "store", caches.save_error});
     }
     br.store.save_ms = std::chrono::duration<double, std::milli>(
                            std::chrono::steady_clock::now() - t_save)
                            .count();
-    br.store.file_bytes = out.file_bytes();
-    br.store.hits = result_cache.hits();
-    br.store.misses = result_cache.misses();
+    br.store.file_bytes = caches.file_bytes;
+    br.store.hits = caches.result.hits();
+    br.store.misses = caches.result.misses();
   }
 
   // Aggregate the per-stage profile in deterministic (job, stage) order.

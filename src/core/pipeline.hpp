@@ -49,6 +49,7 @@
 
 #include "assemble/assemble.hpp"
 #include "core/cancel.hpp"
+#include "core/incremental.hpp"
 #include "drc/drc.hpp"
 #include "extract/extract.hpp"
 #include "lang/lang.hpp"
@@ -383,8 +384,8 @@ struct StoreCounters {
   std::uint64_t poisoned = 0;  // corrupt/skewed store file cold starts
   std::uint64_t loaded_records = 0;  // records read from the store file
   std::uint64_t file_bytes = 0;      // bytes of the saved store file
-  double load_ms = 0;
-  double save_ms = 0;
+  double load_ms = 0;  // CacheSet::load: file read + cache decode
+  double save_ms = 0;  // CacheSet::save: cache encode + file write
 };
 
 struct BatchResult {

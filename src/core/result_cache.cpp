@@ -1,31 +1,15 @@
 #include "core/result_cache.hpp"
 
-#include "store/store.hpp"
+#include "base/fnv.hpp"
 
 namespace silc::core {
 
 namespace {
 
-/// FNV-1a mixers, same flavour as every content hash in the repo.
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ULL;
-  void mix(std::uint64_t x) { h = (h ^ x) * 1099511628211ULL; }
-  void mix_str(const std::string& s) {
-    mix(s.size());
-    for (const char c : s) mix(static_cast<unsigned char>(c));
-  }
-};
-
 std::string encode_result(const CompileResult& r) {
   store::Writer w;
   w.str(r.cif);
-  w.u64(r.drc.violations.size());
-  for (const drc::Violation& v : r.drc.violations) {
-    w.str(v.rule);
-    w.rect(v.where);
-    w.str(v.detail);
-    w.point(v.anchor);
-  }
+  drc::VerdictCodec::write(w, r.drc.violations);
   w.u8(r.verified ? 1 : 0);
   w.str(r.verify_detail);
   w.i32(r.stats.state_bits);
@@ -58,17 +42,7 @@ bool decode_result(const std::string& payload, CompileResult* out) {
   CompileResult c;
   c.from_cache = true;
   c.cif = r.str();
-  const std::uint64_t violations = r.u64();
-  if (!r.ok() || violations > r.remaining()) return false;
-  c.drc.violations.reserve(violations);
-  for (std::uint64_t i = 0; i < violations; ++i) {
-    drc::Violation v;
-    v.rule = r.str();
-    v.where = r.rect();
-    v.detail = r.str();
-    v.anchor = r.point();
-    c.drc.violations.push_back(std::move(v));
-  }
+  if (!drc::VerdictCodec::read(r, c.drc.violations)) return false;
   c.verified = r.u8() != 0;
   c.verify_detail = r.str();
   c.stats.state_bits = r.i32();
@@ -108,7 +82,7 @@ std::uint64_t ResultCache::fingerprint(Flow flow, const std::string& source,
                                        const CompileOptions& options,
                                        std::uint64_t drc_sig,
                                        std::uint64_t extract_sig) {
-  Fnv f;
+  Fnv1a f;
   f.mix(store::kSchemaVersion);
   f.mix(static_cast<std::uint64_t>(flow));
   f.mix_str(source);
@@ -125,7 +99,7 @@ std::uint64_t ResultCache::fingerprint(Flow flow, const std::string& source,
   f.mix(static_cast<std::uint64_t>(options.pla_check_mode));
   f.mix(static_cast<std::uint64_t>(options.drc_mode));
   f.mix(static_cast<std::uint64_t>(options.extract_mode));
-  return f.h;
+  return f.value();
 }
 
 std::uint64_t ResultCache::fingerprint(Flow flow, const std::string& source,
@@ -143,105 +117,50 @@ bool ResultCache::eligible(const CompileResult& r) {
   return true;
 }
 
+std::shared_ptr<const std::string> ResultCodec::decode(
+    const std::string& payload) {
+  CompileResult probe;
+  if (!decode_result(payload, &probe)) return nullptr;
+  return std::make_shared<const std::string>(payload);
+}
+
 bool ResultCache::find(std::uint64_t fp, CompileResult* out) const {
-  const std::lock_guard<std::mutex> lk(m_);
-  const auto it = map_.find(fp);
-  if (it == map_.end()) {
-    ++misses_;
-    SILC_OBS_COUNT("store.misses", 1);
-    return false;
-  }
-  if (!decode_result(it->second.payload, out)) {
-    // Cannot happen through the normal put path (the store checksums
-    // records and encode/decode are inverses), but a decode failure must
-    // still degrade to a recompile, never a wrong result.
-    ++misses_;
-    SILC_OBS_COUNT("store.poisoned", 1);
-    SILC_OBS_COUNT("store.misses", 1);
-    return false;
-  }
-  it->second.last_use = ++clock_;
-  ++hits_;
-  SILC_OBS_COUNT("store.hits", 1);
-  return true;
+  const Ptr payload = ContentCache::find(fp);
+  return payload != nullptr && decode_result(*payload, out);
 }
 
 void ResultCache::store(std::uint64_t fp, const CompileResult& r) {
-  if (!eligible(r)) return;
-  std::string payload = encode_result(r);
-  const std::lock_guard<std::mutex> lk(m_);
-  const auto it = map_.find(fp);
-  if (it != map_.end()) return;  // first writer wins
-  bytes_ += payload.size();
-  map_.emplace(fp, Entry{std::move(payload), ++clock_});
-  evict_overflow_locked();
+  if (eligible(r)) (void)ContentCache::store(fp, encode_result(r));
 }
 
-void ResultCache::set_capacity(std::size_t max_entries) {
-  const std::lock_guard<std::mutex> lk(m_);
-  capacity_ = max_entries;
-  evict_overflow_locked();
+namespace {
+
+std::string store_file(const std::string& cache_dir) {
+  return cache_dir + "/silc.store";
 }
 
-void ResultCache::evict_overflow_locked() {
-  if (capacity_ == 0) return;
-  while (map_.size() > capacity_) {
-    auto victim = map_.begin();
-    for (auto it = map_.begin(); it != map_.end(); ++it) {
-      if (it->second.last_use < victim->second.last_use) victim = it;
-    }
-    bytes_ -= victim->second.payload.size();
-    map_.erase(victim);
-    ++evictions_;
-    SILC_OBS_COUNT("store.evictions", 1);
-  }
+}  // namespace
+
+bool CacheSet::load(const std::string& cache_dir) {
+  store::Store persist;
+  const bool clean = persist.load(store_file(cache_dir));
+  load_error = persist.load_error();
+  loaded_records = persist.records();
+  drc.load_from(persist);
+  extract.load_from(persist);
+  result.load_from(persist);
+  return clean;
 }
 
-void ResultCache::save_to(store::Store& s) const {
-  const std::lock_guard<std::mutex> lk(m_);
-  for (const auto& [fp, entry] : map_) {
-    store::Writer kw;
-    kw.u64(fp);
-    s.put("result", kw.take(), entry.payload);
-  }
-}
-
-void ResultCache::load_from(const store::Store& s) {
-  const std::lock_guard<std::mutex> lk(m_);
-  s.for_each("result",
-             [this](const std::string& key, const std::string& payload) {
-               store::Reader kr(key);
-               const std::uint64_t fp = kr.u64();
-               if (!kr.done()) return;
-               // Validate now so a malformed record is dropped at load,
-               // not discovered as a poisoned hit later.
-               CompileResult probe;
-               if (!decode_result(payload, &probe)) return;
-               if (map_.emplace(fp, Entry{payload, ++clock_}).second) {
-                 bytes_ += payload.size();
-               }
-             });
-  evict_overflow_locked();
-}
-
-std::size_t ResultCache::size() const {
-  const std::lock_guard<std::mutex> lk(m_);
-  return map_.size();
-}
-
-std::uint64_t ResultCache::hits() const {
-  const std::lock_guard<std::mutex> lk(m_);
-  return hits_;
-}
-
-std::uint64_t ResultCache::misses() const {
-  const std::lock_guard<std::mutex> lk(m_);
-  return misses_;
-}
-
-obs::CacheStats ResultCache::stats() const {
-  const std::lock_guard<std::mutex> lk(m_);
-  return {hits_, misses_, evictions_, map_.size(), bytes_};
+bool CacheSet::save(const std::string& cache_dir) {
+  store::Store out;
+  drc.save_to(out);
+  extract.save_to(out);
+  result.save_to(out);
+  const bool ok = out.save(store_file(cache_dir));
+  save_error = out.save_error();
+  file_bytes = out.file_bytes();
+  return ok;
 }
 
 }  // namespace silc::core

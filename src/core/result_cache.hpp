@@ -18,23 +18,42 @@
 // by one run's environment and must never be replayed into another.
 //
 // Obs counters: store.hits / store.misses — a warm compile's visible
-// win, and what the ci.sh persistence leg greps for.
+// win, and what the ci.sh persistence leg greps for. The cache mechanics
+// (LRU bound, checksum on hit, persistence) are store::ContentCache's.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <mutex>
+#include <memory>
 #include <string>
 
 #include "core/pipeline.hpp"
-
-namespace silc::store {
-class Store;
-}
+#include "store/content_cache.hpp"
 
 namespace silc::core {
 
-class ResultCache {
+/// Store codec of the whole-result cache (store/content_cache.hpp): stream
+/// "result", obs counters store.* (store.hits / store.misses are what a
+/// warm compile shows), fault site result.cache.store. The cached value
+/// is the serialized CompileResult itself — decoded on every hit, so the
+/// memory and disk tiers cannot drift.
+struct ResultCodec {
+  using Key = std::uint64_t;  // ResultCache::fingerprint
+  using Value = std::string;
+
+  static constexpr const char* kStream = "result";
+  static constexpr const char* kMetrics = "store";
+
+  static void encode_key(store::Writer& w, Key k) { w.u64(k); }
+  static Key decode_key(store::Reader& r) { return r.u64(); }
+  static std::string encode(const Value& v) { return v; }
+  /// Validates the payload as a CompileResult (malformed records are
+  /// dropped at load, not discovered as a poisoned hit later).
+  static std::shared_ptr<const Value> decode(const std::string& payload);
+  static std::uint64_t checksum(const Value& v) { return store::fnv1a(v); }
+  static std::uint64_t bytes(const Value& v) { return v.size(); }
+};
+
+class ResultCache : public store::ContentCache<ResultCodec> {
  public:
   /// Content fingerprint of a compile: flow, source text, every
   /// output-affecting option (name, stage policy, verify depths, check
@@ -56,50 +75,37 @@ class ResultCache {
   [[nodiscard]] static bool eligible(const CompileResult& r);
 
   /// Materialize the stored result for `fp` into *out (from_cache = true,
-  /// chip = nullptr, empty timings/metrics). Counts store.hits /
-  /// store.misses. A payload that fails to decode (never expected — the
-  /// store already checksummed it) counts poisoned and misses.
+  /// chip = nullptr, empty timings/metrics). False on a miss.
   [[nodiscard]] bool find(std::uint64_t fp, CompileResult* out) const;
 
   /// Memoize an eligible result; no-op (not an error) otherwise.
   void store(std::uint64_t fp, const CompileResult& r);
+};
 
-  /// Persistence (store/store.hpp conventions): the "result" stream, one
-  /// record per fingerprint, payload = the serialized CompileResult.
-  void save_to(store::Store& s) const;
-  void load_from(const store::Store& s);
+/// The three caches one store file holds — per-cell DRC verdicts, per-cell
+/// partial netlists, whole compile results — with the store cycle written
+/// once: load() warms all three from a store file before work starts,
+/// save() writes all three back after it ends. compile(), compile_many(),
+/// and IncrementalSession all persist through it. load/save are not
+/// thread-safe (store/store.hpp, rule 6); the caches are.
+struct CacheSet {
+  drc::VerdictCache drc;
+  extract::NetlistCache extract;
+  ResultCache result;
 
-  /// Bound the cache to `max_entries` results (0 = unbounded, the
-  /// default): on overflow the least-recently-used entry is evicted and
-  /// counted, same policy as the per-cell caches (drc::VerdictCache,
-  /// extract::NetlistCache). Evicted results are merely recompiled on
-  /// next demand — correctness never depends on residency.
-  void set_capacity(std::size_t max_entries);
+  /// Warm every cache from <cache_dir>/silc.store. True on a clean load.
+  /// A missing file is a silent cold start; a corrupt or skewed one
+  /// cold-starts with the reason in load_error.
+  bool load(const std::string& cache_dir);
+  /// Write every cache to <cache_dir>/silc.store (tmp + atomic rename).
+  /// False with save_error set when the file can't be written.
+  bool save(const std::string& cache_dir);
 
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::uint64_t hits() const;
-  [[nodiscard]] std::uint64_t misses() const;
-  /// Lifetime hit/miss/eviction totals plus current entry count and
-  /// payload bytes (obs::CacheStats, mirroring the per-cell caches).
-  [[nodiscard]] obs::CacheStats stats() const;
-
- private:
-  struct Entry {
-    // Serialized payload; decoded on every hit so memory and disk tiers
-    // cannot drift.
-    std::string payload;
-    std::uint64_t last_use = 0;  // LRU stamp
-  };
-  void evict_overflow_locked();
-
-  mutable std::mutex m_;
-  mutable std::map<std::uint64_t, Entry> map_;  // find() refreshes LRU stamp
-  std::size_t capacity_ = 0;                    // 0 = unbounded
-  std::uint64_t bytes_ = 0;
-  std::uint64_t evictions_ = 0;
-  mutable std::uint64_t clock_ = 0;
-  mutable std::uint64_t hits_ = 0;
-  mutable std::uint64_t misses_ = 0;
+  /// What the last load() / save() saw.
+  std::string load_error;
+  std::string save_error;
+  std::size_t loaded_records = 0;
+  std::uint64_t file_bytes = 0;
 };
 
 }  // namespace silc::core

@@ -58,22 +58,15 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <tuple>
 #include <vector>
 
-#include "core/incremental.hpp"
 #include "geom/rectset.hpp"
 #include "layout/layout.hpp"
-#include "obs/obs.hpp"
+#include "store/content_cache.hpp"
 #include "tech/tech.hpp"
-
-namespace silc::store {
-class Store;
-}
 
 namespace silc::drc {
 
@@ -119,21 +112,11 @@ struct Result {
   void canonicalize();
 };
 
-/// Per-cell DRC verdicts shared across hierarchical checks — and, via
-/// core::compile_many, across every design of a batch. Keyed by the
-/// technology name plus a content hash of the cell's geometry (with shape
-/// count and bbox folded in as collision insurance), so identical cells
-/// rebuilt in different libraries hit. Thread-safe; concurrent misses may
-/// recompute the same verdict, which is harmless because verdicts are
-/// deterministic.
-///
-/// Poison detection: every entry stores a content checksum of its verdict,
-/// verified on hit. A mismatch (memory corruption, an injected fault) is
-/// treated as a miss — the entry is evicted, `drc.cache.poisoned` is
-/// counted, and the verdict is recomputed — so a bad cache entry degrades
-/// to recomputation, never to a wrong verdict.
-class VerdictCache {
- public:
+/// Store codec of the per-cell verdict cache (store/content_cache.hpp):
+/// stream "drc", obs counters drc.cache.*, fault site drc.cache.store.
+/// Any change to the key or payload encoding requires a
+/// store::kSchemaVersion bump.
+struct VerdictCodec {
   struct Key {
     /// Identifies the rule set by content (tech::Tech::drc_signature()),
     /// not by the free-form technology name — editing a rule table
@@ -151,62 +134,33 @@ class VerdictCache {
              std::tie(b.bbox.x0, b.bbox.y0, b.bbox.x1, b.bbox.y1);
     }
   };
-
   /// Violations in cell-local coordinates; instances transform them.
-  [[nodiscard]] std::shared_ptr<const std::vector<Violation>> find(
-      const Key& k) const;
-  /// Insert and return the stored verdict (the first writer wins when two
-  /// workers race on the same miss).
-  std::shared_ptr<const std::vector<Violation>> store(
-      const Key& k, std::vector<Violation> violations);
+  using Value = std::vector<Violation>;
 
-  /// Bound the cache to `max_entries` verdicts (0 = unbounded, the
-  /// default): on overflow the least-recently-used entry is evicted and
-  /// counted. Evicted verdicts are merely recomputed on next demand —
-  /// correctness never depends on residency.
-  void set_capacity(std::size_t max_entries);
+  static constexpr const char* kStream = "drc";
+  static constexpr const char* kMetrics = "drc.cache";
 
-  /// Lifetime hit/miss/eviction totals plus current entry count and
-  /// approximate payload bytes — what the benches record and the
-  /// obs::Metrics registry mirrors (drc.cache.*).
-  [[nodiscard]] obs::CacheStats stats() const;
+  static void encode_key(store::Writer& w, const Key& k);
+  static Key decode_key(store::Reader& r);
+  static std::string encode(const Value& v);
+  static std::shared_ptr<const Value> decode(const std::string& payload);
+  static std::uint64_t checksum(const Value& v);
+  static std::uint64_t bytes(const Value& v);
 
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::uint64_t hits() const;
-  [[nodiscard]] std::uint64_t misses() const;
-  /// Entries whose stored checksum failed verification on hit (each was
-  /// evicted and recomputed). Also mirrored as drc.cache.poisoned.
-  [[nodiscard]] std::uint64_t poisoned() const;
-
-  /// Persistence (see store/store.hpp conventions): save_to serializes
-  /// every entry into the store's "drc" stream (key = the cache Key, so
-  /// the tech signature travels with the record); load_from re-inserts
-  /// every "drc" record through the normal store() path — checksums and
-  /// byte accounting are recomputed, so a record that lies about its
-  /// payload still degrades to a poisoned-entry miss, never a wrong
-  /// verdict. Malformed records are skipped, not fatal.
-  void save_to(store::Store& s) const;
-  void load_from(const store::Store& s);
-
- private:
-  struct Entry {
-    std::shared_ptr<const std::vector<Violation>> verdict;
-    std::uint64_t bytes = 0;    // approximate payload size
-    std::uint64_t checksum = 0; // verdict content hash, verified on hit
-    std::uint64_t last_use = 0; // LRU stamp
-  };
-  void evict_overflow_locked();
-
-  mutable std::mutex m_;
-  mutable std::map<Key, Entry> map_;  // find() refreshes the LRU stamp
-  std::size_t capacity_ = 0;          // 0 = unbounded
-  mutable std::uint64_t bytes_ = 0;
-  mutable std::uint64_t evictions_ = 0;
-  mutable std::uint64_t clock_ = 0;
-  mutable std::uint64_t hits_ = 0;
-  mutable std::uint64_t misses_ = 0;
-  mutable std::uint64_t poisoned_ = 0;
+  /// Violation-list fields on their own (count, then rule / where /
+  /// detail / anchor each), shared with the whole-result payload.
+  static void write(store::Writer& w, const Value& v);
+  /// False when the reader runs out or a count is implausible.
+  static bool read(store::Reader& r, Value& out);
 };
+
+/// Per-cell DRC verdicts shared across hierarchical checks — and, via
+/// core::compile_many, across every design of a batch. Keyed by the rule
+/// signature plus a content hash of the cell's geometry (with shape count
+/// and bbox folded in as collision insurance), so identical cells rebuilt
+/// in different libraries hit. Thread safety, checksum-on-hit poison
+/// detection, LRU bound, and persistence come from store::ContentCache.
+using VerdictCache = store::ContentCache<VerdictCodec>;
 
 enum class Mode : std::uint8_t { Flat, Hier, Tiled };
 
@@ -243,14 +197,20 @@ struct CheckOptions {
 
 /// Check a cell hierarchically: unique cells once (cached in `cache` when
 /// given), interaction windows re-verified.
-///
-/// Hier→flat fallback matrix (enforced by core::stage_drc and proved
-/// byte-identical by tests/test_fault.cpp, since all modes agree):
+[[nodiscard]] Result check_hier(const layout::Cell& top,
+                                const tech::Tech& technology = tech::nmos(),
+                                VerdictCache* cache = nullptr);
+
+/// check_hier with the one hier→flat fallback, shared by the compile
+/// pipeline's drc stage and core::IncrementalSession. All modes agree, so
+/// the fallback returns the same Result byte for byte (proved by
+/// tests/test_fault.cpp and tests/test_incremental.cpp):
 ///
 ///   failure inside check_hier        | what happens
 ///   ---------------------------------+------------------------------------
-///   any std::exception               | caught at the compile stage, warned
-///     (incl. fault::InjectedFault)   |   in diags, re-run as check_flat —
+///   any std::exception               | caught here, described in
+///     (incl. fault::InjectedFault)   |   *failure (the caller warns or
+///                                    |   counts), re-run as check_flat —
 ///                                    |   same Result, byte for byte
 ///   poisoned VerdictCache entry      | detected by checksum inside find(),
 ///                                    |   evicted + recomputed — no
@@ -258,39 +218,15 @@ struct CheckOptions {
 ///   core::Cancelled                  | NEVER degraded — rethrown so the
 ///                                    |   deadline wins (retrying on the
 ///                                    |   slower flat path would be worse)
-[[nodiscard]] Result check_hier(const layout::Cell& top,
-                                const tech::Tech& technology = tech::nmos(),
-                                VerdictCache* cache = nullptr);
-
-/// What the incremental entry point did with one edit: how much of the
-/// baseline survived. Mirrored as incr.* counters.
-struct IncrStats {
-  std::size_t cells_total = 0;    ///< unique cells under top
-  std::size_t cells_reused = 0;   ///< verdicts served from the warm cache
-  std::size_t cells_reproved = 0; ///< verdicts recomputed (edited cells)
-  bool verdict_reused = false;    ///< baseline Result returned verbatim
-  bool fell_back_flat = false;    ///< degraded to a flat recompute
-};
-
-/// Invalidation footprint (see src/core/incremental.hpp conventions): DRC
-/// reads GEOMETRY and the DRC RULE SIGNATURE only — check_flat never sees
-/// a label — so a naming-only EditSet (and an empty one) returns
-/// `baseline` verbatim. Any geometry or rule-table movement re-proves
-/// through check_hier against the warm per-cell `cache`: unchanged cells
-/// hit (their content hash didn't move), edited cells and the interaction
-/// windows touching them are re-proved. Byte-identity with a cold
-/// check_hier/check_flat is inherited from the proven all-modes-agree
-/// contract; the randomized differential harness in
-/// tests/test_incremental.cpp re-proves it end to end.
 ///
-/// Fallback matrix: same as check_hier's, applied locally — any
-/// std::exception (incl. fault::InjectedFault at site "incr.drc") degrades
-/// to a flat recompute of the same verdict; core::Cancelled is rethrown.
-[[nodiscard]] Result check_incremental(const layout::Cell& top,
-                                       const tech::Tech& technology,
-                                       VerdictCache& cache,
-                                       const core::EditSet& edits,
-                                       const Result* baseline,
-                                       IncrStats* stats = nullptr);
+/// `*failure` is set to "hierarchical DRC failed (<what>); falling back to
+/// flat" when the fallback ran, and cleared otherwise. `fault_site`, when
+/// given, names an extra fault point inside the hier attempt (the
+/// session's "incr.drc").
+[[nodiscard]] Result check_hier_or_flat(const layout::Cell& top,
+                                        const tech::Tech& technology,
+                                        VerdictCache* cache,
+                                        std::string* failure = nullptr,
+                                        const char* fault_site = nullptr);
 
 }  // namespace silc::drc

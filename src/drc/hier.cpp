@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/fnv.hpp"
 #include "core/cancel.hpp"
 #include "drc/drc.hpp"
 #include "drc/rules.hpp"
@@ -190,19 +191,15 @@ class HierChecker {
   /// ignoring instances. Salted so a pool key can never collide with a
   /// whole-cell or window key in the shared VerdictCache.
   static std::uint64_t own_shapes_hash(const Cell& cell) {
-    std::uint64_t x = 0x9001f00d5a17ed00ULL;  // pool-domain salt
-    const auto mix = [&x](std::uint64_t v) {
-      x ^= v;
-      x *= 1099511628211ULL;
-    };
+    Fnv1a x(0x9001f00d5a17ed00ULL);  // pool-domain salt
     for (const Shape& s : cell.shapes()) {
-      mix(static_cast<std::uint64_t>(tech::index(s.layer)) + 1);
-      mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(s.rect.x0)));
-      mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(s.rect.y0)));
-      mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(s.rect.x1)));
-      mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(s.rect.y1)));
+      x.mix(static_cast<std::uint64_t>(tech::index(s.layer)) + 1);
+      x.mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(s.rect.x0)));
+      x.mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(s.rect.y0)));
+      x.mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(s.rect.x1)));
+      x.mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(s.rect.y1)));
     }
-    return x;
+    return x.value();
   }
 
   /// Content fingerprint of one seam-window soup: per layer, the canonical
@@ -216,32 +213,28 @@ class HierChecker {
   /// whole-cell key in the shared (and persisted) VerdictCache.
   static std::pair<std::uint64_t, std::uint64_t> window_fingerprint(
       LayerTable& soup) {
-    std::uint64_t x = 0x57ea6f1d0a7ab10cULL;  // window-domain salt
-    const auto mix = [&x](std::uint64_t v) {
-      x ^= v;
-      x *= 1099511628211ULL;
-    };
+    Fnv1a x(0x57ea6f1d0a7ab10cULL);  // window-domain salt
     std::uint64_t count = 0;
     for (int i = 0; i < tech::kNumLayers; ++i) {
       const auto l = static_cast<tech::Layer>(i);
       const std::vector<Rect>& rects = soup.mask(l).rects();
       if (rects.empty()) continue;
-      mix(0x10001u + static_cast<std::uint64_t>(i));
+      x.mix(0x10001u + static_cast<std::uint64_t>(i));
       const std::vector<int>& labels = soup.labels(l);
       std::map<int, int> renum;
       for (std::size_t j = 0; j < rects.size(); ++j) {
         const Rect& r = rects[j];
-        mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.x0)));
-        mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.y0)));
-        mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.x1)));
-        mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.y1)));
+        x.mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.x0)));
+        x.mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.y0)));
+        x.mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.x1)));
+        x.mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.y1)));
         const auto part =
             renum.emplace(labels[j], static_cast<int>(renum.size()));
-        mix(static_cast<std::uint64_t>(part.first->second) + 0x9e3779b9u);
+        x.mix(static_cast<std::uint64_t>(part.first->second) + 0x9e3779b9u);
       }
       count += rects.size();
     }
-    return {x, count};
+    return {x.value(), count};
   }
 
   const Tech& tech_;

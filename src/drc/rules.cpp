@@ -238,6 +238,11 @@ void RuleEngine::prewarm(LayerTable& g) const {
     for (const std::string& o : r.operands) (void)g.get(o);
     if (!r.excuse.empty()) (void)g.get(r.excuse);
   }
+  // LayerTable::window pulls whole components of these layers from the
+  // shared table; RectSet::components() is lazy, so force it here too.
+  for (const std::string& expr : component_semantic_layers()) {
+    (void)g.get(expr).components();
+  }
 }
 
 void RuleEngine::run(LayerTable& g, Result& out) const {

@@ -98,7 +98,8 @@ class RuleEngine {
 
   /// Force-evaluate everything lazy a shared table may serve concurrently
   /// (derived layers referenced by any rule, per-layer labels, canonical
-  /// rects) so worker threads only ever read it.
+  /// rects, components of the component-semantic layers) so worker
+  /// threads only ever read it.
   void prewarm(LayerTable& g) const;
 
   /// Layer expressions whose rules judge whole components (contact cuts,

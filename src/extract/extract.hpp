@@ -63,21 +63,14 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "core/incremental.hpp"
 #include "geom/geom.hpp"
 #include "layout/layout.hpp"
-#include "obs/obs.hpp"
+#include "store/content_cache.hpp"
 #include "tech/tech.hpp"
-
-namespace silc::store {
-class Store;
-}
 
 namespace silc::extract {
 
@@ -168,22 +161,13 @@ struct Netlist {
 /// Per-cell partial extraction (hier.cpp); opaque to the public API.
 struct CellNet;
 
-/// Per-cell partial netlists shared across hierarchical extractions — and,
-/// via core::compile_many, across every design of a batch. Keyed by the
-/// technology's extract_signature() plus content hashes of the cell's
-/// geometry *and* labelling (layout::geometry_hash + layout::naming_hash,
-/// with shape count and bbox folded in as collision insurance), so
-/// identical cells rebuilt in different libraries hit. Thread-safe;
-/// concurrent misses may recompute the same entry, which is harmless
-/// because per-cell extractions are deterministic.
-///
-/// Poison detection: every entry stores a content checksum of its partial
-/// netlist, verified on hit. A mismatch (memory corruption, an injected
-/// fault) is treated as a miss — the entry is evicted,
-/// `extract.cache.poisoned` is counted, and the cell re-extracted — so a
-/// bad cache entry degrades to recomputation, never to a wrong netlist.
-class NetlistCache {
- public:
+/// Store codec of the per-cell netlist cache (store/content_cache.hpp):
+/// stream "extract", obs counters extract.cache.*, fault site
+/// extract.cache.store. The payload is the full CellNet — pieces,
+/// proto-transistor candidate sets, junctions, structured warnings,
+/// labels — defined (with the codec functions) in hier.cpp. Any change to
+/// the key or payload encoding requires a store::kSchemaVersion bump.
+struct NetlistCodec {
   struct Key {
     std::uint64_t tech_sig = 0;
     std::uint64_t geometry = 0;
@@ -193,59 +177,28 @@ class NetlistCache {
 
     friend bool operator<(const Key& a, const Key& b);
   };
+  using Value = CellNet;
 
-  [[nodiscard]] std::shared_ptr<const CellNet> find(const Key& k) const;
-  /// Insert and return the stored entry (the first writer wins when two
-  /// workers race on the same miss).
-  std::shared_ptr<const CellNet> store(const Key& k,
-                                       std::shared_ptr<const CellNet> net);
+  static constexpr const char* kStream = "extract";
+  static constexpr const char* kMetrics = "extract.cache";
 
-  /// Bound the cache to `max_entries` partial netlists (0 = unbounded, the
-  /// default): on overflow the least-recently-used entry is evicted and
-  /// counted. Evicted entries are merely re-extracted on next demand —
-  /// correctness never depends on residency.
-  void set_capacity(std::size_t max_entries);
-
-  /// Lifetime hit/miss/eviction totals plus current entry count and
-  /// approximate payload bytes — what the benches record and the
-  /// obs::Metrics registry mirrors (extract.cache.*).
-  [[nodiscard]] obs::CacheStats stats() const;
-
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::uint64_t hits() const;
-  [[nodiscard]] std::uint64_t misses() const;
-  /// Entries whose stored checksum failed verification on hit (each was
-  /// evicted and re-extracted). Also mirrored as extract.cache.poisoned.
-  [[nodiscard]] std::uint64_t poisoned() const;
-
-  /// Persistence (see store/store.hpp conventions): save_to serializes
-  /// every CellNet — pieces, proto-transistor candidate sets, junctions,
-  /// structured warnings, labels — into the store's "extract" stream;
-  /// load_from re-inserts every record through the normal store() path,
-  /// recomputing checksums and byte accounting. Malformed records are
-  /// skipped, not fatal. Implemented in hier.cpp, where CellNet lives.
-  void save_to(store::Store& s) const;
-  void load_from(const store::Store& s);
-
- private:
-  struct Entry {
-    std::shared_ptr<const CellNet> net;
-    std::uint64_t bytes = 0;    // approximate payload size
-    std::uint64_t checksum = 0; // content hash, verified on hit
-    std::uint64_t last_use = 0; // LRU stamp
-  };
-  void evict_overflow_locked();
-
-  mutable std::mutex m_;
-  mutable std::map<Key, Entry> map_;  // find() refreshes the LRU stamp
-  std::size_t capacity_ = 0;          // 0 = unbounded
-  mutable std::uint64_t bytes_ = 0;
-  mutable std::uint64_t evictions_ = 0;
-  mutable std::uint64_t clock_ = 0;
-  mutable std::uint64_t hits_ = 0;
-  mutable std::uint64_t misses_ = 0;
-  mutable std::uint64_t poisoned_ = 0;
+  static void encode_key(store::Writer& w, const Key& k);
+  static Key decode_key(store::Reader& r);
+  static std::string encode(const Value& v);
+  static std::shared_ptr<const Value> decode(const std::string& payload);
+  static std::uint64_t checksum(const Value& v);
+  static std::uint64_t bytes(const Value& v);
 };
+
+/// Per-cell partial netlists shared across hierarchical extractions — and,
+/// via core::compile_many, across every design of a batch. Keyed by the
+/// technology's extract_signature() plus content hashes of the cell's
+/// geometry *and* labelling (layout::geometry_hash + layout::naming_hash,
+/// with shape count and bbox folded in as collision insurance), so
+/// identical cells rebuilt in different libraries hit. Thread safety,
+/// checksum-on-hit poison detection, LRU bound, and persistence come from
+/// store::ContentCache.
+using NetlistCache = store::ContentCache<NetlistCodec>;
 
 enum class Mode : std::uint8_t { Flat, Hier };
 
@@ -261,55 +214,36 @@ enum class Mode : std::uint8_t { Flat, Hier };
 /// given; a local cache is used when null, which still collapses repeated
 /// cells within one chip), interaction windows re-solved. Canonically
 /// byte-identical to extract_flat on the same cell.
-///
-/// Hier→flat fallback matrix (enforced by core::DesignDB::netlist() and
-/// proved byte-identical by tests/test_fault.cpp, since the modes agree):
+[[nodiscard]] Netlist extract_hier(const layout::Cell& top,
+                                   const tech::Tech& technology = tech::nmos(),
+                                   NetlistCache* cache = nullptr);
+
+/// extract_hier with the one hier→flat fallback, shared by
+/// core::DesignDB::netlist() and core::IncrementalSession. The modes
+/// agree, so the fallback returns the same canonical Netlist byte for
+/// byte (proved by tests/test_fault.cpp and tests/test_incremental.cpp):
 ///
 ///   failure inside extract_hier      | what happens
 ///   ---------------------------------+------------------------------------
-///   any std::exception               | caught at the artifact getter,
-///     (incl. fault::InjectedFault)   |   warned in diags, re-run as
-///                                    |   extract_flat — same canonical
-///                                    |   Netlist, byte for byte
+///   any std::exception               | caught here, described in
+///     (incl. fault::InjectedFault)   |   *failure (the caller warns or
+///                                    |   counts), re-run as extract_flat —
+///                                    |   same canonical Netlist
 ///   poisoned NetlistCache entry      | detected by checksum inside find(),
 ///                                    |   evicted + re-extracted — no
 ///                                    |   fallback needed, same Netlist
 ///   core::Cancelled                  | NEVER degraded — rethrown so the
 ///                                    |   deadline wins (retrying on the
 ///                                    |   slower flat path would be worse)
-[[nodiscard]] Netlist extract_hier(const layout::Cell& top,
-                                   const tech::Tech& technology = tech::nmos(),
-                                   NetlistCache* cache = nullptr);
-
-/// What the incremental entry point did with one edit: how much of the
-/// baseline survived. Mirrored as incr.* counters.
-struct IncrStats {
-  std::size_t cells_total = 0;    ///< unique cells under top
-  std::size_t cells_reused = 0;   ///< partial netlists served from cache
-  std::size_t cells_reproved = 0; ///< partial netlists re-extracted
-  bool netlist_reused = false;    ///< baseline Netlist returned verbatim
-  bool fell_back_flat = false;    ///< degraded to a flat re-extract
-};
-
-/// Invalidation footprint (see src/core/incremental.hpp conventions):
-/// extraction reads GEOMETRY, NAMING (labels / port names / instance
-/// names, which become node names), and the EXTRACT RULE SIGNATURE — so
-/// only a truly empty EditSet returns `baseline` verbatim. A naming-only
-/// edit re-runs (unlike DRC), but the warm per-cell `cache` keys on
-/// naming_hash, so unrenamed cells still hit and only the edited cells
-/// plus the stitch windows pay again. Byte-identity with a cold
-/// extract_hier/extract_flat is inherited from the proven modes-agree
-/// contract; tests/test_incremental.cpp re-proves it end to end.
 ///
-/// Fallback matrix: same as extract_hier's, applied locally — any
-/// std::exception (incl. fault::InjectedFault at site "incr.extract")
-/// degrades to a flat re-extract of the same netlist; core::Cancelled is
-/// rethrown.
-[[nodiscard]] Netlist extract_incremental(const layout::Cell& top,
-                                          const tech::Tech& technology,
-                                          NetlistCache& cache,
-                                          const core::EditSet& edits,
-                                          const Netlist* baseline,
-                                          IncrStats* stats = nullptr);
+/// `*failure` is set to "hierarchical extraction failed (<what>); falling
+/// back to flat extraction" when the fallback ran, and cleared otherwise.
+/// `fault_site`, when given, names an extra fault point inside the hier
+/// attempt (the session's "incr.extract").
+[[nodiscard]] Netlist extract_hier_or_flat(const layout::Cell& top,
+                                           const tech::Tech& technology,
+                                           NetlistCache* cache,
+                                           std::string* failure = nullptr,
+                                           const char* fault_site = nullptr);
 
 }  // namespace silc::extract

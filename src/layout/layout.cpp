@@ -5,6 +5,7 @@
 #include <set>
 #include <stdexcept>
 
+#include "base/fnv.hpp"
 #include "geom/rectset.hpp"
 
 namespace silc::layout {
@@ -222,28 +223,24 @@ namespace {
 std::uint64_t hash_cell(const Cell& c, std::map<const Cell*, std::uint64_t>& memo) {
   const auto it = memo.find(&c);
   if (it != memo.end()) return it->second;
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(c.shapes().size());
+  Fnv1a h;
+  h.mix(c.shapes().size());
   for (const Shape& s : c.shapes()) {
-    mix(static_cast<std::uint64_t>(s.layer));
-    mix(static_cast<std::uint64_t>(s.rect.x0));
-    mix(static_cast<std::uint64_t>(s.rect.y0));
-    mix(static_cast<std::uint64_t>(s.rect.x1));
-    mix(static_cast<std::uint64_t>(s.rect.y1));
+    h.mix(static_cast<std::uint64_t>(s.layer));
+    h.mix(static_cast<std::uint64_t>(s.rect.x0));
+    h.mix(static_cast<std::uint64_t>(s.rect.y0));
+    h.mix(static_cast<std::uint64_t>(s.rect.x1));
+    h.mix(static_cast<std::uint64_t>(s.rect.y1));
   }
-  mix(c.instances().size());
+  h.mix(c.instances().size());
   for (const Instance& i : c.instances()) {
-    mix(hash_cell(*i.cell, memo));
-    mix(static_cast<std::uint64_t>(i.transform.orient));
-    mix(static_cast<std::uint64_t>(i.transform.offset.x));
-    mix(static_cast<std::uint64_t>(i.transform.offset.y));
+    h.mix(hash_cell(*i.cell, memo));
+    h.mix(static_cast<std::uint64_t>(i.transform.orient));
+    h.mix(static_cast<std::uint64_t>(i.transform.offset.x));
+    h.mix(static_cast<std::uint64_t>(i.transform.offset.y));
   }
-  memo.emplace(&c, h);
-  return h;
+  memo.emplace(&c, h.value());
+  return h.value();
 }
 
 }  // namespace
@@ -259,29 +256,21 @@ std::uint64_t naming_hash_cell(const Cell& c,
                                std::map<const Cell*, std::uint64_t>& memo) {
   const auto it = memo.find(&c);
   if (it != memo.end()) return it->second;
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  const auto mix_str = [&](const std::string& s) {
-    mix(s.size());
-    for (const char ch : s) mix(static_cast<unsigned char>(ch));
-  };
-  mix(c.labels().size());
+  Fnv1a h;
+  h.mix(c.labels().size());
   for (const TextLabel& l : c.labels()) {
-    mix_str(l.text);
-    mix(static_cast<std::uint64_t>(l.layer));
-    mix(static_cast<std::uint64_t>(l.at.x));
-    mix(static_cast<std::uint64_t>(l.at.y));
+    h.mix_str(l.text);
+    h.mix(static_cast<std::uint64_t>(l.layer));
+    h.mix(static_cast<std::uint64_t>(l.at.x));
+    h.mix(static_cast<std::uint64_t>(l.at.y));
   }
-  mix(c.instances().size());
+  h.mix(c.instances().size());
   for (const Instance& i : c.instances()) {
-    mix_str(i.name);
-    mix(naming_hash_cell(*i.cell, memo));
+    h.mix_str(i.name);
+    h.mix(naming_hash_cell(*i.cell, memo));
   }
-  memo.emplace(&c, h);
-  return h;
+  memo.emplace(&c, h.value());
+  return h.value();
 }
 
 }  // namespace

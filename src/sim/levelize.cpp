@@ -58,12 +58,13 @@ TapeOp::Code unary_code(GateKind k) {
 
 }  // namespace
 
-std::vector<std::uint32_t> op_levels(const std::vector<TapeOp>& ops,
-                                     std::size_t slots) {
-  // Slot levels: sources (never written by an op) stay 0; a written slot
-  // takes its op's level. Ops must arrive in dependency order.
+Tape assemble_tape(std::vector<TapeOp> ops, std::size_t slots,
+                   std::vector<std::pair<std::uint32_t, std::uint32_t>> dffs) {
+  // Op levels: sources (slots never written by an op) stay 0; a written
+  // slot takes its op's level. Ops must arrive in dependency order.
   std::vector<std::uint32_t> slot_level(slots, 0);
   std::vector<std::uint32_t> op_level(ops.size(), 0);
+  std::uint32_t depth = 0;
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const TapeOp& op = ops[i];
     std::uint32_t lv = 0;
@@ -74,15 +75,8 @@ std::vector<std::uint32_t> op_levels(const std::vector<TapeOp>& ops,
     ++lv;
     op_level[i] = lv;
     slot_level[op.out] = lv;
+    depth = std::max(depth, lv);
   }
-  return op_level;
-}
-
-Tape bucket_by_level(std::vector<TapeOp> ops, std::size_t slots,
-                     std::vector<std::pair<std::uint32_t, std::uint32_t>> dffs,
-                     const std::vector<std::uint32_t>& op_level) {
-  std::uint32_t depth = 0;
-  for (const std::uint32_t lv : op_level) depth = std::max(depth, lv);
 
   // Stable counting sort of ops by level.
   Tape tape;
@@ -106,13 +100,7 @@ Tape bucket_by_level(std::vector<TapeOp> ops, std::size_t slots,
   return tape;
 }
 
-Tape assemble_tape(std::vector<TapeOp> ops, std::size_t slots,
-                   std::vector<std::pair<std::uint32_t, std::uint32_t>> dffs) {
-  const std::vector<std::uint32_t> levels = op_levels(ops, slots);
-  return bucket_by_level(std::move(ops), slots, std::move(dffs), levels);
-}
-
-RawTape decompose(const net::Netlist& nl) {
+Tape levelize(const net::Netlist& nl) {
   const std::vector<int> topo = nl.topo_order();  // validates acyclicity
   (void)nl.driver_map();                          // validates single drivers
 
@@ -164,12 +152,7 @@ RawTape decompose(const net::Netlist& nl) {
       }
     }
   }
-  return {std::move(ops), temp, std::move(dffs)};
-}
-
-Tape levelize(const net::Netlist& nl) {
-  RawTape raw = decompose(nl);
-  return assemble_tape(std::move(raw.ops), raw.slots, std::move(raw.dffs));
+  return assemble_tape(std::move(ops), temp, std::move(dffs));
 }
 
 }  // namespace silc::sim

@@ -39,27 +39,16 @@ CompiledSim::CompiledSim(const rtl::Design& design, const SimConfig& config)
 CompiledSim::~CompiledSim() = default;
 
 void CompiledSim::init(const SimConfig& config) {
-  config_ = config;
   word_ = config.word;
   words_per_slot_ = words_of(word_);
-  raw_ = decompose(nl_);
-  raw_levels_ = op_levels(raw_.ops, raw_.slots);
-  adopt_tape(bucket_by_level(raw_.ops, raw_.slots, raw_.dffs, raw_levels_));
-}
-
-void CompiledSim::adopt_tape(Tape assembled) {
-  pool_.reset();  // references the old tape; must die before it does
-  tape_ = std::move(assembled);
-  by_name_.clear();
-  dirty_ = true;
-  fuse_stats_ = FuseStats{};
+  tape_ = levelize(nl_);
   fuse_stats_.ops_before = fuse_stats_.ops_after = tape_.ops.size();
 
   // Which slots stay peekable under fusion: primary I/O, register state,
   // every declared design signal, and anything the caller pins.
   std::vector<std::uint8_t> unfused_written(tape_.slots, 0);
   for (const TapeOp& op : tape_.ops) unfused_written[op.out] = 1;
-  if (config_.fuse) {
+  if (config.fuse) {
     std::vector<std::uint8_t> observable(tape_.slots, 0);
     const auto mark = [&](int net) {
       if (net >= 0) observable[static_cast<std::size_t>(net)] = 1;
@@ -74,7 +63,7 @@ void CompiledSim::adopt_tape(Tape assembled) {
         mark(net);
       }
     }
-    for (const std::string& name : config_.keep) {
+    for (const std::string& name : config.keep) {
       int net = nl_.find_net(name);
       if (net < 0) net = nl_.find_net(name + "[0]");
       if (net < 0) {
@@ -102,7 +91,7 @@ void CompiledSim::adopt_tape(Tape assembled) {
   storage_.assign(tape_.slots * w);
   scratch_.assign(tape_.dffs.size() * w);
 
-  int threads = config_.threads;
+  int threads = config.threads;
   const unsigned hw = std::thread::hardware_concurrency();
   if (threads == 0) threads = static_cast<int>(hw);
   // Clamp to the machine: oversubscribed workers only add barrier traffic
@@ -110,91 +99,10 @@ void CompiledSim::adopt_tape(Tape assembled) {
   if (hw >= 1) threads = std::min(threads, static_cast<int>(hw));
   threads = std::clamp(threads, 1, 64);
   if (threads > 1 &&
-      TapePool::worth_threading(tape_, config_.parallel_min_ops)) {
+      TapePool::worth_threading(tape_, config.parallel_min_ops)) {
     pool_ = std::make_unique<TapePool>(tape_, word_, threads,
-                                       config_.parallel_min_ops);
+                                       config.parallel_min_ops);
   }
-}
-
-void CompiledSim::update(const net::Netlist& nl, IncrTapeStats* stats) {
-  SILC_OBS_SPAN("incr.sim.update", "sim");
-  IncrTapeStats local;
-  IncrTapeStats& st = stats != nullptr ? *stats : local;
-  st = IncrTapeStats{};
-
-  // Everything that can throw happens before any member is mutated, so a
-  // rejected netlist (or an injected fault) leaves the old sim usable.
-  SILC_FAULT_POINT("incr.sim.update");
-  RawTape fresh = decompose(nl);
-  st.ops_total = fresh.ops.size();
-
-  // Identical netlist: the whole compile survives; only lane state resets
-  // (a fresh build powers on zeroed). This is the microseconds path.
-  const bool same_names = [&] {
-    if (nl.net_count() != nl_.net_count()) return false;
-    for (std::size_t n = 0; n < nl.net_count(); ++n) {
-      if (nl.net_name(static_cast<int>(n)) !=
-          nl_.net_name(static_cast<int>(n))) {
-        return false;
-      }
-    }
-    return true;
-  }();
-  if (fresh == raw_ && same_names && nl.inputs() == nl_.inputs() &&
-      nl.outputs() == nl_.outputs()) {
-    st.identical = true;
-    st.ops_reused = st.ops_total;
-    SILC_OBS_COUNT("incr.sim.ops_reused", static_cast<std::int64_t>(st.ops_reused));
-    nl_ = nl;
-    storage_.clear();
-    scratch_.clear();
-    dirty_ = true;
-    return;
-  }
-
-  // Dirty-propagate through the new op list in one dependency-order pass.
-  // An op is dirty when it differs from the old op at its index or reads a
-  // dirty slot; a CLEAN op's entire producer cone is clean and
-  // index-aligned with the old list, so its cached level is its
-  // from-scratch level. When the op at an index changed, the OLD op's
-  // output slot is dirtied too — a downstream op whose old producer
-  // vanished must not reuse a level computed against it.
-  std::vector<std::uint8_t> slot_dirty(std::max(fresh.slots, raw_.slots), 0);
-  std::vector<std::uint32_t> slot_level(fresh.slots, 0);
-  std::vector<std::uint32_t> levels(fresh.ops.size(), 0);
-  for (std::size_t i = 0; i < fresh.ops.size(); ++i) {
-    const TapeOp& op = fresh.ops[i];
-    const int arity = op_arity(op.code);
-    bool d = i >= raw_.ops.size() || !(op == raw_.ops[i]);
-    if (d && i < raw_.ops.size()) slot_dirty[raw_.ops[i].out] = 1;
-    if (!d && arity >= 1 && slot_dirty[op.a] != 0) d = true;
-    if (!d && arity >= 2 && slot_dirty[op.b] != 0) d = true;
-    if (!d && arity >= 3 && slot_dirty[op.sel] != 0) d = true;
-    std::uint32_t lv;
-    if (d) {
-      lv = 0;
-      if (arity >= 1) lv = std::max(lv, slot_level[op.a]);
-      if (arity >= 2) lv = std::max(lv, slot_level[op.b]);
-      if (arity >= 3) lv = std::max(lv, slot_level[op.sel]);
-      ++lv;
-      slot_dirty[op.out] = 1;
-      ++st.ops_relevelized;
-    } else {
-      lv = raw_levels_[i];
-      ++st.ops_reused;
-    }
-    levels[i] = lv;
-    slot_level[op.out] = lv;
-  }
-  SILC_OBS_COUNT("incr.sim.ops_reused", static_cast<std::int64_t>(st.ops_reused));
-  SILC_OBS_COUNT("incr.sim.ops_relevelized",
-                 static_cast<std::int64_t>(st.ops_relevelized));
-
-  Tape assembled = bucket_by_level(fresh.ops, fresh.slots, fresh.dffs, levels);
-  nl_ = nl;  // adopt_tape's observable marking reads the NEW netlist
-  raw_ = std::move(fresh);
-  raw_levels_ = std::move(levels);
-  adopt_tape(std::move(assembled));
 }
 
 int CompiledSim::threads() const { return pool_ ? pool_->threads() : 1; }

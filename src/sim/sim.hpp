@@ -115,35 +115,6 @@ struct Tape {
 /// combinational cycles or multiply-driven nets.
 [[nodiscard]] Tape levelize(const net::Netlist& nl);
 
-/// The pre-levelling half of levelize: every gate decomposed into two-input
-/// ops in topological order (n-ary chains via fresh temp slots), registers
-/// split out as commit pairs, nothing ranked yet. Deterministic for a given
-/// netlist, so two decompositions are comparable op by op — which is what
-/// CompiledSim::update diffs to find the tape region an edit actually
-/// reaches. Throws like levelize on cycles or multiple drivers.
-struct RawTape {
-  std::vector<TapeOp> ops;  // dependency order, slot ids as in Tape
-  std::size_t slots = 0;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> dffs;
-
-  friend bool operator==(const RawTape&, const RawTape&) = default;
-};
-[[nodiscard]] RawTape decompose(const net::Netlist& nl);
-
-/// Op-granular levels of a dependency-ordered op list: 1 + deepest operand,
-/// unwritten slots are level-0 sources.
-[[nodiscard]] std::vector<std::uint32_t> op_levels(
-    const std::vector<TapeOp>& ops, std::size_t slots);
-
-/// Bucket a dependency-ordered op list by precomputed per-op levels (stable
-/// counting sort) and emit level_begin. assemble_tape composes op_levels
-/// with this; CompiledSim::update calls it directly with a mix of cached
-/// and recomputed levels.
-[[nodiscard]] Tape bucket_by_level(
-    std::vector<TapeOp> ops, std::size_t slots,
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> dffs,
-    const std::vector<std::uint32_t>& op_level);
-
 /// Rebuild a tape from a topologically ordered op list: compute op-granular
 /// levels (1 + deepest operand; unwritten slots are level-0 sources), bucket
 /// ops by level keeping their relative order, and emit level_begin. The
@@ -311,15 +282,6 @@ struct SimConfig {
   std::vector<std::string> keep;
 };
 
-/// What CompiledSim::update did with one netlist edit: how much of the
-/// old tape's levelling survived. Mirrored as incr.sim.* counters.
-struct IncrTapeStats {
-  std::size_t ops_total = 0;       ///< ops in the new decomposition
-  std::size_t ops_reused = 0;      ///< levels carried over from the old tape
-  std::size_t ops_relevelized = 0; ///< levels recomputed (edit-reachable)
-  bool identical = false;          ///< netlist unchanged: tape kept verbatim
-};
-
 class CompiledSim {
  public:
   /// Compile an existing gate netlist (copied; names resolve via name_map).
@@ -347,21 +309,6 @@ class CompiledSim {
   /// Set every register bit to `v` in all lanes and re-evaluate.
   void reset(bool v = false);
 
-  /// Re-compile against an edited netlist, reusing the old tape where the
-  /// edit can't reach: the fresh decomposition is diffed op-by-op against
-  /// the cached one, dirtiness is propagated through read slots in one
-  /// dependency-order pass, and only edit-reachable ops are re-levelized —
-  /// clean ops keep their cached levels (sound because a clean op's whole
-  /// producer cone is clean). Fusion then reruns globally (it is a cheap
-  /// linear pass). The resulting tape is byte-identical to building a
-  /// fresh CompiledSim from `nl`, and the sim is left at power-on state
-  /// exactly like a fresh build (tests/test_incremental.cpp proves both).
-  /// An identical netlist keeps the tape verbatim and only clears lane
-  /// state. Throws like the constructor on invalid netlists — before any
-  /// member is mutated, so the old sim stays usable (fault site
-  /// "incr.sim.update").
-  void update(const net::Netlist& nl, IncrTapeStats* stats = nullptr);
-
   /// Batch run: up to lanes() stimulus sequences, one lane each, all from
   /// reset state. Returns one trace per sequence recording `probes` (or the
   /// design's outputs when constructed from a Design and probes is empty)
@@ -381,12 +328,9 @@ class CompiledSim {
   [[nodiscard]] const FuseStats& fuse_stats() const { return fuse_stats_; }
 
  private:
+  /// Levelize and fuse nl_ per `config`, then build liveness, storage,
+  /// and the thread pool.
   void init(const SimConfig& config);
-  /// Fuse `assembled` per config_, rebuild liveness/storage/pool/name
-  /// resolution, and leave the sim at power-on state. init and update share
-  /// it — which is what makes update-vs-fresh-build byte-identity hold by
-  /// construction for everything downstream of levelling.
-  void adopt_tape(Tape assembled);
   void eval_now();
   /// LSB-first value slots of a named signal; resolved via "name" then
   /// "name[b]", design widths when known. Throws when unknown.
@@ -394,9 +338,6 @@ class CompiledSim {
   [[nodiscard]] std::uint64_t* slot_words() { return storage_.data(); }
 
   net::Netlist nl_;
-  SimConfig config_;       // update() re-applies the construction knobs
-  RawTape raw_;            // pre-levelling decomposition, diffed by update()
-  std::vector<std::uint32_t> raw_levels_;  // op levels of raw_, reused by update()
   Tape tape_;
   WordKind word_ = WordKind::U64;
   int words_per_slot_ = 1;

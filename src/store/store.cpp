@@ -103,13 +103,6 @@ struct Cursor {
 
 }  // namespace
 
-std::uint64_t fnv1a(const std::string& bytes, std::uint64_t h) {
-  for (const char c : bytes) {
-    h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
-  }
-  return h;
-}
-
 // ---------------------------------------------------------------- writer --
 
 void Writer::u32(std::uint32_t v) { append_u32(out_, v); }

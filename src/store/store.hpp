@@ -1,6 +1,7 @@
 // Persistent compile store: flat versioned records, checksums, no clever
-// database. The on-disk half of the cache story — VerdictCache /
-// NetlistCache / core::ResultCache entries survive the process so a warm
+// database. The on-disk half of the cache story — the entries of the
+// in-memory store::ContentCache instantiations (drc::VerdictCache,
+// extract::NetlistCache, core::ResultCache) survive the process, so a warm
 // compile of an unchanged design becomes a file load plus lookups.
 //
 // The house conventions:
@@ -49,8 +50,25 @@
 //
 //   6. Threading. Store is NOT thread-safe by design: load and attach
 //      before the worker crew starts, harvest and save after it joins
-//      (core::compile_many does exactly this). The in-memory caches it
-//      fills are the concurrent layer.
+//      (core::CacheSet::load/save, which compile(), compile_many() and
+//      IncrementalSession share, do exactly this). The in-memory caches
+//      it fills are the concurrent layer.
+//
+//   7. Adding a stream means writing one codec (store/content_cache.hpp)
+//      and nothing else. The codec names the stream (kStream) and its obs
+//      counter prefix (kMetrics); encodes and decodes its Key and its
+//      Value field by field with Writer / Reader, rejecting (nullptr)
+//      any payload that is not consumed exactly (Reader::done()) so a
+//      malformed record is skipped at load; and supplies a deterministic
+//      content checksum (base/fnv.hpp) and an approximate byte size.
+//      store::ContentCache<Codec> then provides lookup, first-writer-wins,
+//      the LRU bound, checksum-on-hit poison eviction, the
+//      "<stream>.cache.store" corrupt fault site, the counters, and
+//      save_to / load_from; a member of core::CacheSet puts the new cache
+//      in the one load → attach → save cycle. An older build ignores a
+//      stream it does not know, and a newer build starts the new stream
+//      empty on an older file, so adding a stream needs no schema bump —
+//      changing an existing stream's encoding does (rule 2).
 //
 // Fault sites: "store.load" and "store.save" (SILC_FAULT_POINT) exercise
 // the degradation paths above; SILC_FAULT_CORRUPT_AT("store.save") flips
@@ -59,9 +77,10 @@
 // both degrade to cold compiles with byte-identical artifacts.
 //
 // Obs counters: store.load_ms / store.save_ms (ceil-rounded, so a
-// performed load always registers) and store.poisoned here;
-// store.hits / store.misses are counted by core::ResultCache, whose
-// lookups are what a warm compile serves from.
+// performed load always registers) and store.poisoned here; the
+// whole-result cache (core::ResultCodec's prefix is "store") counts
+// store.hits / store.misses / store.evictions / store.bytes, and adds to
+// store.poisoned when a result entry fails its checksum on hit.
 #pragma once
 
 #include <cstdint>
@@ -70,6 +89,7 @@
 #include <string>
 #include <utility>
 
+#include "base/fnv.hpp"
 #include "geom/geom.hpp"
 
 namespace silc::store {
@@ -79,10 +99,14 @@ namespace silc::store {
 /// load is a cold start.
 inline constexpr std::uint64_t kSchemaVersion = 1;
 
-/// FNV-1a over a byte string — the store's record checksum, same flavour
-/// as the in-memory caches' content checksums.
-[[nodiscard]] std::uint64_t fnv1a(const std::string& bytes,
-                                  std::uint64_t h = 1469598103934665603ULL);
+/// Byte-wise FNV-1a over a byte string, continuing from `h` — the store's
+/// record checksum.
+[[nodiscard]] inline std::uint64_t fnv1a(const std::string& bytes,
+                                         std::uint64_t h = Fnv1a::kOffsetBasis) {
+  Fnv1a f(h);
+  f.mix_bytes(bytes);
+  return f.value();
+}
 
 // -------------------------------------------------------------- the store --
 

@@ -1,5 +1,7 @@
 #include "tech/tech.hpp"
 
+#include "base/fnv.hpp"
+
 namespace silc::tech {
 
 const char* name(Layer l) {
@@ -96,43 +98,34 @@ Coord Tech::max_rule_dist() const {
 }
 
 std::uint64_t Tech::drc_signature() const {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  const auto mix_str = [&mix](const std::string& s) {
-    mix(s.size());
-    for (const char c : s) mix(static_cast<unsigned char>(c));
-  };
-  mix(static_cast<std::uint64_t>(lambda));
-  mix(drc_derived.size());
+  Fnv1a h;
+  h.mix(static_cast<std::uint64_t>(lambda));
+  h.mix(drc_derived.size());
   for (const DerivedLayer& d : drc_derived) {
-    mix_str(d.name);
-    mix(static_cast<std::uint64_t>(d.op));
-    mix_str(d.a);
-    mix_str(d.b);
+    h.mix_str(d.name);
+    h.mix(static_cast<std::uint64_t>(d.op));
+    h.mix_str(d.a);
+    h.mix_str(d.b);
   }
-  mix(drc_rules.size());
+  h.mix(drc_rules.size());
   for (const DrcRule& r : drc_rules) {
-    mix(static_cast<std::uint64_t>(r.kind));
-    mix_str(r.name);
-    mix_str(r.layer);
-    mix(r.operands.size());
-    for (const std::string& o : r.operands) mix_str(o);
-    mix_str(r.excuse);
-    mix(static_cast<std::uint64_t>(r.dist));
-    mix(static_cast<std::uint64_t>(r.dist2));
-    mix(static_cast<std::uint64_t>(r.dist3));
+    h.mix(static_cast<std::uint64_t>(r.kind));
+    h.mix_str(r.name);
+    h.mix_str(r.layer);
+    h.mix(r.operands.size());
+    for (const std::string& o : r.operands) h.mix_str(o);
+    h.mix_str(r.excuse);
+    h.mix(static_cast<std::uint64_t>(r.dist));
+    h.mix(static_cast<std::uint64_t>(r.dist2));
+    h.mix(static_cast<std::uint64_t>(r.dist3));
   }
-  return h;
+  return h.value();
 }
 
 std::uint64_t Tech::extract_signature() const {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a
-  h ^= static_cast<std::uint64_t>(lambda);
-  h *= 1099511628211ull;
-  return h;
+  Fnv1a h;
+  h.mix(static_cast<std::uint64_t>(lambda));
+  return h.value();
 }
 
 const Tech& nmos() {

@@ -10,10 +10,12 @@
 //     technology signature, a changed source text, and a changed
 //     output-affecting option all produce keys that MISS; identical
 //     inputs across two Store instances (a file round-trip) HIT;
-//   * cache serialization equality: VerdictCache verdicts and NetlistCache
-//     partial netlists (proto-transistor candidate sets included) survive
-//     save_to → file → load_from with every re-extraction an all-hits
-//     replay producing equal netlists;
+//   * the one cache template under all three codecs (verdicts, partial
+//     netlists, whole results): LRU eviction, checksum poisoning, first
+//     writer wins, save_to → file → load_from replaying every entry as a
+//     hit with an identical payload, malformed records skipped; and
+//     NetlistCache partial netlists (proto-transistor candidate sets
+//     included) replaying a whole re-extraction as all hits;
 //   * whole-result memoization: a compile served from the store is
 //     same_outcome-identical to the compile that produced it, and
 //     compile_many's second run over a warm cache_dir is all store hits;
@@ -30,7 +32,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/compiler.hpp"
@@ -41,6 +45,7 @@
 #include "fault/fault.hpp"
 #include "layout/layout.hpp"
 #include "obs/obs.hpp"
+#include "store/content_cache.hpp"
 #include "store/store.hpp"
 
 namespace silc {
@@ -292,44 +297,6 @@ TEST(Store, WriterReaderRoundTripAndBoundsChecks) {
 
 // ------------------------------------------------- cache layer round-trips --
 
-TEST(StoreCaches, VerdictCacheRoundTripsThroughAFile) {
-  const TempDir dir("drc_cache");
-  const std::string path = dir.file("silc.store");
-
-  drc::VerdictCache a;
-  const drc::VerdictCache::Key clean{11, 22, 33, {0, 0, 40, 40}};
-  const drc::VerdictCache::Key dirty{11, 23, 5, {-8, -8, 96, 64}};
-  a.store(clean, {});
-  a.store(dirty, {{"metal.width", {0, 0, 2, 2}, "too narrow", {1, 1}},
-                  {"poly.space", {5, 5, 9, 9}, "", {7, 7}}});
-
-  store::Store out;
-  a.save_to(out);
-  EXPECT_EQ(out.records(), 2u);
-  ASSERT_TRUE(out.save(path));
-
-  store::Store in;
-  ASSERT_TRUE(in.load(path));
-  drc::VerdictCache b;
-  b.load_from(in);
-  EXPECT_EQ(b.size(), 2u);
-
-  const auto clean_hit = b.find(clean);
-  ASSERT_NE(clean_hit, nullptr);
-  EXPECT_TRUE(clean_hit->empty());
-  const auto dirty_hit = b.find(dirty);
-  ASSERT_NE(dirty_hit, nullptr);
-  ASSERT_EQ(dirty_hit->size(), 2u);
-  EXPECT_EQ((*dirty_hit)[0].rule, "metal.width");
-  EXPECT_EQ((*dirty_hit)[0].where, (geom::Rect{0, 0, 2, 2}));
-  EXPECT_EQ((*dirty_hit)[0].detail, "too narrow");
-  EXPECT_EQ((*dirty_hit)[1].rule, "poly.space");
-  EXPECT_EQ(b.poisoned(), 0u) << "re-inserted entries must re-checksum clean";
-
-  // A different tech signature is a different key: no cross-signature hit.
-  EXPECT_EQ(b.find({12, 22, 33, {0, 0, 40, 40}}), nullptr);
-}
-
 TEST(StoreCaches, NetlistCacheRoundTripReplaysAllHits) {
   const TempDir dir("extract_cache");
   const std::string path = dir.file("silc.store");
@@ -375,41 +342,234 @@ TEST(StoreCaches, NetlistCacheRoundTripReplaysAllHits) {
   EXPECT_EQ(to_text(warm), to_text(cold));
 }
 
-TEST(StoreCaches, ResultCacheEvictsLeastRecentlyUsed) {
-  Library lib;
-  const CompileResult r = core::compile(
-      lib, Flow::Behavioral, silc_fixtures::kGray2Source, quick("gray2"));
-  ASSERT_TRUE(ResultCache::eligible(r)) << r.diag_text();
+// ------------------------------------ one typed test over the three codecs --
+//
+// store::ContentCache owns LRU, checksum-on-hit, first-writer-wins, and
+// persistence for every codec, so each behaviour is proved once per codec
+// here. Samples are real payloads: verdict lists, partial netlists pulled
+// out of a real hierarchical extraction (CellNet is opaque outside the
+// extractor), and serialized results of a real compile.
 
-  // Three results under a two-entry bound: the one touched least recently
-  // (fingerprint 2 — 1 was refreshed by a hit) is the one evicted.
-  ResultCache cache;
+template <class Codec>
+struct Samples;
+
+template <>
+struct Samples<drc::VerdictCodec> {
+  using Cache = drc::VerdictCache;
+  static std::vector<std::pair<Cache::Key, Cache::Ptr>> make() {
+    std::vector<std::pair<Cache::Key, Cache::Ptr>> out;
+    for (int i = 0; i < 3; ++i) {
+      std::vector<drc::Violation> v;
+      for (int j = 0; j < i; ++j) {
+        v.push_back({"metal.width", {j, j, j + 2, j + 2}, "too narrow", {j, j}});
+      }
+      out.emplace_back(Cache::Key{11, 22 + static_cast<std::uint64_t>(i), 3,
+                                  {0, 0, 40, 40}},
+                       std::make_shared<const std::vector<drc::Violation>>(v));
+    }
+    return out;
+  }
+};
+
+template <>
+struct Samples<extract::NetlistCodec> {
+  using Cache = extract::NetlistCache;
+  static std::vector<std::pair<Cache::Key, Cache::Ptr>> make() {
+    // Three distinct leaf cells (an inverter-ish transistor cell of three
+    // widths), each extracted alone so it leaves exactly one entry.
+    Library lib("typed-cache");
+    Cache scratch;
+    std::vector<std::pair<Cache::Key, Cache::Ptr>> out;
+    for (int i = 0; i < 3; ++i) {
+      Cell& c = lib.create("leaf" + std::to_string(i));
+      c.add_rect(Layer::Diff, {0, -8, 4 + 2 * i, 12});
+      c.add_rect(Layer::Poly, {-6, 0, 10 + 2 * i, 4});
+      c.add_rect(Layer::Contact, {0, 8, 4, 12});
+      c.add_rect(Layer::Metal, {-2, 7, 6, 13});
+      c.add_label("out", Layer::Metal, {2, 10});
+      (void)extract::extract_hier(c, tech::nmos(), &scratch);
+      const Cache::Key k{tech::nmos().extract_signature(),
+                         layout::geometry_hash(c), layout::naming_hash(c),
+                         c.flat_shape_count(), c.bbox()};
+      Cache::Ptr v = scratch.find(k);
+      EXPECT_NE(v, nullptr) << "extraction left no entry under the cell key";
+      out.emplace_back(k, std::move(v));
+    }
+    return out;
+  }
+};
+
+template <>
+struct Samples<core::ResultCodec> {
+  using Cache = store::ContentCache<core::ResultCodec>;
+  static std::vector<std::pair<Cache::Key, Cache::Ptr>> make() {
+    Library lib;
+    const CompileResult r = core::compile(
+        lib, Flow::Behavioral, silc_fixtures::kGray2Source, quick("gray2"));
+    EXPECT_TRUE(ResultCache::eligible(r)) << r.diag_text();
+    ResultCache scratch;
+    const Cache& base = scratch;
+    std::vector<std::pair<Cache::Key, Cache::Ptr>> out;
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      CompileResult variant = r;
+      variant.cif += "(variant " + std::to_string(i) + ");\n";
+      scratch.store(100 + i, variant);
+      out.emplace_back(100 + i, base.find(100 + i));
+    }
+    return out;
+  }
+};
+
+template <class Codec>
+class ContentCacheTyped : public ::testing::Test {
+ protected:
+  using Cache = store::ContentCache<Codec>;
+  using Entries = std::vector<std::pair<typename Cache::Key, typename Cache::Ptr>>;
+
+  void SetUp() override {
+    samples_ = Samples<Codec>::make();
+    ASSERT_EQ(samples_.size(), 3u);
+    for (const auto& [k, v] : samples_) ASSERT_NE(v, nullptr);
+  }
+
+  const typename Cache::Key& key(std::size_t i) const {
+    return samples_[i].first;
+  }
+  const typename Cache::Ptr& value(std::size_t i) const {
+    return samples_[i].second;
+  }
+
+  Entries samples_;
+};
+
+using Codecs = ::testing::Types<drc::VerdictCodec, extract::NetlistCodec,
+                                core::ResultCodec>;
+TYPED_TEST_SUITE(ContentCacheTyped, Codecs);
+
+TYPED_TEST(ContentCacheTyped, EvictsLeastRecentlyUsedAtCapacity) {
+  typename TestFixture::Cache cache;
   cache.set_capacity(2);
-  cache.store(1, r);
-  cache.store(2, r);
-  CompileResult out;
-  ASSERT_TRUE(cache.find(1, &out));
-  cache.store(3, r);
+  cache.insert(this->key(0), this->value(0));
+  cache.insert(this->key(1), this->value(1));
+  ASSERT_NE(cache.find(this->key(0)), nullptr);  // 0 is now the fresher
+  cache.insert(this->key(2), this->value(2));
 
-  obs::CacheStats st = cache.stats();
+  const obs::CacheStats st = cache.stats();
   EXPECT_EQ(st.evictions, 1u);
   EXPECT_EQ(st.entries, 2u);
-  EXPECT_TRUE(cache.find(1, &out));
-  EXPECT_TRUE(cache.find(3, &out));
-  EXPECT_FALSE(cache.find(2, &out)) << "the LRU entry must be the victim";
+  EXPECT_EQ(cache.find(this->key(1)), nullptr) << "the LRU entry is the victim";
+  EXPECT_NE(cache.find(this->key(0)), nullptr);
+  EXPECT_NE(cache.find(this->key(2)), nullptr);
 
-  // Shrinking the bound evicts immediately; the latest-touched survives.
+  // Shrinking evicts at once; the latest-touched entry survives.
   cache.set_capacity(1);
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_GE(cache.stats().evictions, 2u);
-  EXPECT_TRUE(cache.find(3, &out));
+  EXPECT_EQ(cache.stats().evictions, 2u);
+  EXPECT_NE(cache.find(this->key(2)), nullptr);
 
-  // An evicted result is merely a miss — recompile-and-restore works.
-  cache.set_capacity(0);  // unbounded again
-  cache.store(2, r);
-  EXPECT_TRUE(cache.find(2, &out));
-  EXPECT_TRUE(out.from_cache);
-  EXPECT_EQ(out.cif, r.cif);
+  // An evicted entry is merely a miss: re-inserting serves it again.
+  cache.set_capacity(0);
+  cache.insert(this->key(1), this->value(1));
+  EXPECT_EQ(cache.find(this->key(1)), this->value(1));
+}
+
+TYPED_TEST(ContentCacheTyped, PoisonedEntryIsEvictedAndCounted) {
+  if (!fault::kEnabled) GTEST_SKIP() << "built with SILC_FAULT=OFF";
+  const DisarmOnExit disarm;
+  using Codec = TypeParam;
+  typename TestFixture::Cache cache;
+
+  Schedule s;
+  s.triggers.push_back({std::string(Codec::kStream) + ".cache.store",
+                        Kind::Corrupt, 0, true, 0, ""});
+  Injector::global().arm(s);
+  cache.insert(this->key(0), this->value(0));
+  Injector::global().disarm();
+
+  const auto before = obs::Metrics::global().snapshot();
+  EXPECT_EQ(cache.find(this->key(0)), nullptr) << "a poisoned hit is a miss";
+  const auto after = obs::Metrics::global().snapshot();
+  EXPECT_EQ(cache.poisoned(), 1u);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.stats().bytes, 0u);
+  if (obs::kEnabled) {
+    const std::string prefix = Codec::kMetrics;
+    EXPECT_EQ(counter_value(obs::delta(before, after), prefix + ".poisoned"),
+              1);
+  }
+
+  // The recompute stores a clean entry that verifies and hits.
+  cache.insert(this->key(0), this->value(0));
+  EXPECT_EQ(cache.find(this->key(0)), this->value(0));
+  EXPECT_EQ(cache.poisoned(), 1u);
+}
+
+TYPED_TEST(ContentCacheTyped, FirstWriterWins) {
+  typename TestFixture::Cache cache;
+  EXPECT_EQ(cache.insert(this->key(0), this->value(0)), this->value(0));
+  // A racing second writer under the same key gets the first entry back.
+  EXPECT_EQ(cache.insert(this->key(0), this->value(1)), this->value(0));
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.find(this->key(0)), this->value(0));
+}
+
+TYPED_TEST(ContentCacheTyped, SaveLoadRoundTripReplaysAllHits) {
+  using Codec = TypeParam;
+  const TempDir dir("typed_roundtrip");
+  const std::string path = dir.file("silc.store");
+
+  typename TestFixture::Cache a;
+  for (std::size_t i = 0; i < 3; ++i) a.insert(this->key(i), this->value(i));
+  store::Store out;
+  a.save_to(out);
+  EXPECT_EQ(out.records(), 3u);
+  ASSERT_TRUE(out.save(path)) << out.save_error();
+
+  store::Store in;
+  ASSERT_TRUE(in.load(path)) << in.load_error();
+  typename TestFixture::Cache b;
+  b.load_from(in);
+  ASSERT_EQ(b.size(), 3u);
+  EXPECT_EQ(b.stats().bytes, a.stats().bytes);
+  for (std::size_t i = 0; i < 3; ++i) {
+    const auto got = b.find(this->key(i));
+    ASSERT_NE(got, nullptr) << "entry " << i << " lost in the round trip";
+    EXPECT_EQ(Codec::encode(*got), Codec::encode(*this->value(i)))
+        << "entry " << i << " changed in the round trip";
+  }
+  EXPECT_EQ(b.hits(), 3u);
+  EXPECT_EQ(b.misses(), 0u);
+  EXPECT_EQ(b.poisoned(), 0u) << "re-inserted entries must re-checksum clean";
+}
+
+TYPED_TEST(ContentCacheTyped, MalformedRecordsAreSkippedAtLoad) {
+  using Codec = TypeParam;
+  typename TestFixture::Cache a;
+  a.insert(this->key(0), this->value(0));
+  store::Store s;
+  a.save_to(s);
+
+  store::Writer kw;
+  Codec::encode_key(kw, this->key(1));
+  const std::string good_key = kw.take();
+  const std::string good_payload = Codec::encode(*this->value(1));
+  // A payload cut short, a payload with trailing bytes, a key too short.
+  s.put(Codec::kStream, good_key,
+        good_payload.substr(0, good_payload.size() / 2));
+  store::Writer kw2;
+  Codec::encode_key(kw2, this->key(2));
+  s.put(Codec::kStream, kw2.take(), good_payload + "junk");
+  s.put(Codec::kStream, good_key.substr(0, 3), good_payload);
+
+  typename TestFixture::Cache b;
+  b.load_from(s);
+  EXPECT_EQ(b.size(), 1u) << "only the well-formed record may load";
+  EXPECT_EQ(b.find(this->key(1)), nullptr);
+  EXPECT_EQ(b.find(this->key(2)), nullptr);
+  const auto kept = b.find(this->key(0));
+  ASSERT_NE(kept, nullptr);
+  EXPECT_EQ(Codec::encode(*kept), Codec::encode(*this->value(0)));
 }
 
 // ---------------------------------------------------------- invalidation --
