@@ -1,7 +1,6 @@
 // E6 (paper claim C2): "regular blocks, such as memories and PLAs, are
 // programmed for specific functions". Sweeps the PLA and ROM generators and
-// ablates the two-level minimizer (QM + branch-and-bound vs the espresso-
-// style heuristic).
+// the two-level minimizer across input widths.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -70,21 +69,17 @@ void print_rom_table() {
 }
 
 void print_minimizer_table() {
-  std::printf("\n=== E6c: minimizer ablation (QM+B&B vs heuristic) ===\n");
-  std::printf("%-8s %-10s %-10s %-12s %-12s\n", "inputs", "qm terms",
-              "heur terms", "qm us", "heur us");
-  for (const int n : {4, 6, 8, 10}) {
+  std::printf("\n=== E6c: two-level minimizer sweep (random, 1/6 ON) ===\n");
+  std::printf("%-8s %-8s %-10s %-12s\n", "inputs", "terms", "literals", "us");
+  for (int n = 4; n <= 12; ++n) {
     const MultiFunction f = random_function(n, 1, static_cast<unsigned>(n));
-    const TruthTable& t = f.outputs[0];
     const auto t0 = std::chrono::steady_clock::now();
-    const auto qm = silc::logic::minimize_qm(t);
+    const auto cover = silc::logic::minimize(f.outputs[0]);
     const auto t1 = std::chrono::steady_clock::now();
-    const auto heur = silc::logic::minimize_heuristic(t);
-    const auto t2 = std::chrono::steady_clock::now();
-    std::printf("%-8d %-10zu %-10zu %-12.0f %-12.0f\n", n, qm.size(),
-                heur.size(),
-                std::chrono::duration<double, std::micro>(t1 - t0).count(),
-                std::chrono::duration<double, std::micro>(t2 - t1).count());
+    int literals = 0;
+    for (const auto& c : cover) literals += c.literal_count();
+    std::printf("%-8d %-8zu %-10d %-12.0f\n", n, cover.size(), literals,
+                std::chrono::duration<double, std::micro>(t1 - t0).count());
   }
   std::printf("\n");
 }
@@ -112,21 +107,13 @@ void BM_RomGenerate(benchmark::State& state) {
 }
 BENCHMARK(BM_RomGenerate)->RangeMultiplier(2)->Range(4, 64);
 
-void BM_MinimizeQm(benchmark::State& state) {
+void BM_Minimize(benchmark::State& state) {
   const MultiFunction f = random_function(static_cast<int>(state.range(0)), 1, 7);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(silc::logic::minimize_qm(f.outputs[0]));
+    benchmark::DoNotOptimize(silc::logic::minimize(f.outputs[0]));
   }
 }
-BENCHMARK(BM_MinimizeQm)->DenseRange(4, 10, 2);
-
-void BM_MinimizeHeuristic(benchmark::State& state) {
-  const MultiFunction f = random_function(static_cast<int>(state.range(0)), 1, 7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(silc::logic::minimize_heuristic(f.outputs[0]));
-  }
-}
-BENCHMARK(BM_MinimizeHeuristic)->DenseRange(4, 12, 2);
+BENCHMARK(BM_Minimize)->DenseRange(4, 12, 2);
 
 }  // namespace
 

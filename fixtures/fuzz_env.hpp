@@ -1,5 +1,6 @@
 // Shared env convention for every differential/fuzz harness (extract
-// equivalence, DRC mode fuzz, compile chaos, incremental recompilation):
+// equivalence, DRC mode fuzz, compile chaos, incremental recompilation,
+// two-level minimization):
 //
 //   SILC_FUZZ_TRIALS — override a harness's default trial count (the
 //     nightly-style long-fuzz knob; ci.sh's gated leg sets it high).

@@ -304,17 +304,6 @@ Result check_hier_or_flat(const layout::Cell& top, const Tech& technology,
   return check_flat(layout::flatten(top), technology);
 }
 
-Result check(const layout::Cell& top, const Tech& technology,
-             const CheckOptions& options) {
-  switch (options.mode) {
-    case Mode::Flat: return check_flat(layout::flatten(top), technology);
-    case Mode::Tiled:
-      return check_tiled(layout::flatten(top), technology, options.threads);
-    case Mode::Hier: return check_hier(top, technology, options.cache);
-  }
-  return check_flat(layout::flatten(top), technology);
-}
-
 Result check(const layout::Cell& top, const Tech& technology) {
   return check_flat(layout::flatten(top), technology);
 }

@@ -162,23 +162,12 @@ struct VerdictCodec {
 /// detection, LRU bound, and persistence come from store::ContentCache.
 using VerdictCache = store::ContentCache<VerdictCodec>;
 
+/// The checking mode a caller selects (the compile pipeline's drc stage
+/// reads it from core::CompileOptions::drc_mode and calls check_flat,
+/// check_hier_or_flat or check_tiled).
 enum class Mode : std::uint8_t { Flat, Hier, Tiled };
 
 [[nodiscard]] const char* to_string(Mode m);
-
-struct CheckOptions {
-  Mode mode = Mode::Flat;
-  /// Tiled-mode worker count: 0 = hardware concurrency; always clamped to
-  /// hardware concurrency, and no crew is spun up when that yields 1.
-  int threads = 1;
-  /// Hier mode: shared per-cell verdicts (optional — a local cache is used
-  /// when null, which still collapses repeated cells within one chip).
-  VerdictCache* cache = nullptr;
-};
-
-/// Check a cell in the requested mode (Flat and Tiled flatten internally).
-[[nodiscard]] Result check(const layout::Cell& top, const tech::Tech& technology,
-                           const CheckOptions& options);
 
 /// Check a cell, flattened internally (Mode::Flat).
 [[nodiscard]] Result check(const layout::Cell& top,

@@ -1,10 +1,28 @@
 #include "logic/equiv.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace silc::logic {
 
 namespace {
+
+/// The variable bound by the most cubes (lowest index on ties), among the
+/// `bound` ones: splitting where cubes actually constrain shrinks both
+/// cofactors fastest (the espresso heuristic).
+int most_bound_var(const std::vector<Cube>& cover, std::uint32_t bound) {
+  int var = -1, best = -1;
+  for (std::uint32_t m = bound; m != 0; m &= m - 1) {
+    const int v = __builtin_ctz(m);
+    int count = 0;
+    for (const Cube& c : cover) count += (c.mask >> v) & 1;
+    if (count > best) {
+      best = count;
+      var = v;
+    }
+  }
+  return var;
+}
 
 /// Shannon-cofactor tautology over the subspace reached by `assigned`
 /// (value bits of the variables fixed so far). Cubes in `cover` have had
@@ -22,19 +40,7 @@ bool taut_rec(const std::vector<Cube>& cover, std::uint32_t assigned,
     if (cex != nullptr) *cex = assigned;
     return false;
   }
-  // Branch on the most-bound variable: splitting where cubes actually
-  // constrain shrinks both cofactors fastest (the espresso heuristic).
-  int var = -1, best = -1;
-  for (std::uint32_t m = bound; m != 0; m &= m - 1) {
-    const int v = __builtin_ctz(m);
-    int count = 0;
-    for (const Cube& c : cover) count += (c.mask >> v) & 1;
-    if (count > best) {
-      best = count;
-      var = v;
-    }
-  }
-  const std::uint32_t bit = 1u << var;
+  const std::uint32_t bit = 1u << most_bound_var(cover, bound);
   for (const std::uint32_t polarity : {0u, bit}) {
     std::vector<Cube> cof;
     cof.reserve(cover.size());
@@ -61,6 +67,27 @@ int cover_rec(const TruthTable& f, Tri which, std::uint32_t lo,
   if (a == 1) out.push_back({~(half - 1) & space, lo});
   if (b == 1) out.push_back({~(half - 1) & space, lo + half});
   return (a == 0 && b == 0) ? 0 : 2;
+}
+
+/// Keep only the maximal cubes: drop duplicates and every cube contained
+/// in another.
+void absorb(std::vector<Cube>& cubes) {
+  // Fewer literals first: a cube can only be contained in one with no
+  // more literals, and equal-size containment is equality.
+  std::sort(cubes.begin(), cubes.end(), [](const Cube& a, const Cube& b) {
+    const int la = a.literal_count(), lb = b.literal_count();
+    return la != lb ? la < lb : a < b;
+  });
+  cubes.erase(std::unique(cubes.begin(), cubes.end()), cubes.end());
+  std::vector<Cube> kept;
+  kept.reserve(cubes.size());
+  for (const Cube& c : cubes) {
+    if (std::none_of(kept.begin(), kept.end(),
+                     [&c](const Cube& k) { return k.contains(c); })) {
+      kept.push_back(c);
+    }
+  }
+  cubes = std::move(kept);
 }
 
 }  // namespace
@@ -99,6 +126,39 @@ std::vector<Cube> exact_cover(const TruthTable& f, Tri which) {
   if (cover_rec(f, which, 0, f.size(), out) == 1) {
     out.push_back({0, 0});  // the whole space is one cube
   }
+  return out;
+}
+
+// A prime that binds the split variable x comes from one cofactor; one
+// that does not is an implicant of both, hence a product p0∩p1. Every
+// other candidate is contained in some prime and absorbed.
+std::vector<Cube> all_primes(const std::vector<Cube>& cover) {
+  if (cover.size() <= 1) return cover;
+  std::uint32_t bound = 0;
+  for (const Cube& c : cover) {
+    if (c.mask == 0) return {Cube{}};
+    bound |= c.mask;
+  }
+  const std::uint32_t bit = 1u << most_bound_var(cover, bound);
+  std::vector<Cube> cof[2];
+  for (const Cube& c : cover) {
+    const Cube freed{c.mask & ~bit, c.value & ~bit};
+    if ((c.mask & bit) == 0 || (c.value & bit) == 0) cof[0].push_back(freed);
+    if ((c.mask & bit) == 0 || (c.value & bit) != 0) cof[1].push_back(freed);
+  }
+  const std::vector<Cube> p0 = all_primes(cof[0]);
+  const std::vector<Cube> p1 = all_primes(cof[1]);
+  std::vector<Cube> out;
+  out.reserve(p0.size() + p1.size());
+  for (const Cube& a : p0) out.push_back({a.mask | bit, a.value});
+  for (const Cube& b : p1) out.push_back({b.mask | bit, b.value | bit});
+  for (const Cube& a : p0) {
+    for (const Cube& b : p1) {
+      if (((a.value ^ b.value) & a.mask & b.mask) != 0) continue;
+      out.push_back({a.mask | b.mask, a.value | b.value});
+    }
+  }
+  absorb(out);
   return out;
 }
 

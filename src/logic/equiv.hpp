@@ -15,7 +15,9 @@
 // but the recursion only branches on variables some cube actually binds,
 // which makes real PLA covers — already minimized, few terms, narrow —
 // essentially instant; this is what lets the pipeline's pla-check stage
-// return a *proof* for less than the cost of one simulated cycle.
+// return a *proof* for less than the cost of one simulated cycle. The same
+// recursion generates the prime implicants logic::minimize covers with
+// (all_primes), so one cube engine serves minimization and verification.
 #pragma once
 
 #include <cstdint>
@@ -52,6 +54,13 @@ struct EquivVerdict {
 /// cubes). Unlike minimize(), the result is not minimal — it is cheap,
 /// deterministic, and exact, which is what the equivalence proof wants.
 [[nodiscard]] std::vector<Cube> exact_cover(const TruthTable& f, Tri which);
+
+/// Every prime implicant of F, the union of `cover`'s cubes, each once:
+/// Shannon recursion on the most-bound variable x (the tautology check's
+/// branching), primes(F) = absorb{x'·p0, x·p1, p0∩p1} over the primes
+/// p0, p1 of F's two cofactors, where absorb keeps only the cubes no
+/// other contains. Order unspecified. logic::minimize's prime step.
+[[nodiscard]] std::vector<Cube> all_primes(const std::vector<Cube>& cover);
 
 /// Prove `cover` equal to `f` on every care row (don't-cares are free).
 /// Symbolic counterpart of TruthTable::implemented_by, but returns a

@@ -1,9 +1,11 @@
 #include "logic/logic.hpp"
 
+#include "logic/equiv.hpp"
+
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <map>
-#include <set>
 #include <stdexcept>
 
 namespace silc::logic {
@@ -101,59 +103,26 @@ bool TruthTable::implemented_by(const std::vector<Cube>& cover) const {
   return true;
 }
 
-// ------------------------------------------------------- Quine-McCluskey --
-
-std::vector<Cube> prime_implicants(const TruthTable& f) {
-  const std::uint32_t full_mask = f.size() - 1;
-  // Level 0: all care-ON and DC minterms as full cubes.
-  std::set<Cube> current;
-  for (std::uint32_t r = 0; r < f.size(); ++r) {
-    if (f.get(r) != Tri::Zero) current.insert({full_mask, r});
-  }
-  std::vector<Cube> primes;
-  while (!current.empty()) {
-    std::set<Cube> next;
-    std::set<Cube> combined;
-    // Group by mask so only same-shape cubes combine.
-    std::map<std::uint32_t, std::vector<Cube>> by_mask;
-    for (const Cube& c : current) by_mask[c.mask].push_back(c);
-    for (const auto& [mask, cubes] : by_mask) {
-      std::set<Cube> in_group(cubes.begin(), cubes.end());
-      for (const Cube& c : cubes) {
-        for (int b = 0; b < f.num_inputs(); ++b) {
-          const std::uint32_t bit = 1u << b;
-          if ((mask & bit) == 0 || (c.value & bit) == 0) continue;
-          const Cube partner{mask, c.value ^ bit};
-          if (in_group.count(partner) != 0) {
-            next.insert({mask & ~bit, c.value & ~bit});
-            combined.insert(c);
-            combined.insert(partner);
-          }
-        }
-      }
-    }
-    for (const Cube& c : current) {
-      if (combined.count(c) == 0) primes.push_back(c);
-    }
-    current = std::move(next);
-  }
-  return primes;
-}
+// ----------------------------------------------------------- minimizer --
 
 namespace {
 
-// Branch-and-bound minimum unate covering: pick the fewest columns (primes)
-// covering all rows (ON minterms). Rows/columns are given as bitsets over
-// primes; limited search with greedy fallback.
+/// Largest covering problem (in primes) solved exactly by branch-and-bound.
+constexpr std::size_t kBnbLimit = 26;
+
+// Branch-and-bound minimum unate covering: pick the fewest columns
+// (primes) covering all rows not yet done (ON minterms), with a node
+// budget.
 struct CoverSolver {
-  const std::vector<std::vector<int>>& row_cols;  // per row: candidate columns
-  int num_cols;
+  const std::vector<std::vector<int>>& row_cols;  // per row: covering columns
+  const std::vector<std::vector<int>>& col_rows;  // per column: rows covered
+  std::vector<std::uint8_t> row_done;
+  std::vector<int> chosen;
   std::vector<int> best;
   bool have_best = false;
   long long budget = 200000;
 
-  void solve(std::vector<int>& chosen, std::vector<std::uint8_t>& row_done,
-             std::size_t rows_left) {
+  void solve(std::size_t rows_left) {
     if (budget-- <= 0) return;
     if (have_best && chosen.size() + 1 >= best.size() && rows_left > 0) return;
     if (rows_left == 0) {
@@ -164,189 +133,110 @@ struct CoverSolver {
       return;
     }
     // Branch on the hardest row (fewest candidate columns).
-    int pick = -1;
+    std::size_t pick = 0;
     std::size_t fewest = SIZE_MAX;
     for (std::size_t r = 0; r < row_cols.size(); ++r) {
-      if (row_done[r] != 0) continue;
-      if (row_cols[r].size() < fewest) {
+      if (row_done[r] == 0 && row_cols[r].size() < fewest) {
         fewest = row_cols[r].size();
-        pick = static_cast<int>(r);
+        pick = r;
       }
     }
-    for (const int col : row_cols[static_cast<std::size_t>(pick)]) {
-      // Apply column col: mark rows it covers.
-      std::vector<std::size_t> newly;
-      for (std::size_t r = 0; r < row_cols.size(); ++r) {
-        if (row_done[r] != 0) continue;
-        for (const int c2 : row_cols[r]) {
-          if (c2 == col) {
-            row_done[r] = 1;
-            newly.push_back(r);
-            break;
-          }
-        }
+    for (const int col : row_cols[pick]) {
+      std::vector<int> newly;
+      for (const int r : col_rows[static_cast<std::size_t>(col)]) {
+        if (row_done[static_cast<std::size_t>(r)] != 0) continue;
+        row_done[static_cast<std::size_t>(r)] = 1;
+        newly.push_back(r);
       }
       chosen.push_back(col);
-      solve(chosen, row_done, rows_left - newly.size());
+      solve(rows_left - newly.size());
       chosen.pop_back();
-      for (const std::size_t r : newly) row_done[r] = 0;
+      for (const int r : newly) row_done[static_cast<std::size_t>(r)] = 0;
     }
   }
 };
 
-std::vector<Cube> cover_select(const TruthTable& f, std::vector<Cube> primes,
-                               int bnb_limit) {
-  std::vector<std::uint32_t> ons = f.on_set();
-  std::vector<Cube> chosen;
-
-  // Essential primes: rows covered by exactly one prime.
-  bool changed = true;
-  while (changed && !ons.empty()) {
-    changed = false;
-    for (const std::uint32_t m : ons) {
-      int only = -1;
-      int count = 0;
-      for (std::size_t p = 0; p < primes.size(); ++p) {
-        if (primes[p].covers(m)) {
-          ++count;
-          only = static_cast<int>(p);
-          if (count > 1) break;
-        }
-      }
-      if (count == 1) {
-        const Cube c = primes[static_cast<std::size_t>(only)];
-        chosen.push_back(c);
-        std::erase_if(ons, [&c](std::uint32_t r) { return c.covers(r); });
-        primes.erase(primes.begin() + only);
-        changed = true;
-        break;
-      }
+/// Choose a cover of the ON rows from `primes`: essentials in row order,
+/// then a minimum cover by branch-and-bound when at most kBnbLimit
+/// primes remain, else (or when the search budget runs dry) greedy
+/// completion taking the first prime covering the most rows left. Ties
+/// resolve by prime order, so the result depends on it.
+std::vector<Cube> cover_select(const TruthTable& f,
+                               const std::vector<Cube>& primes) {
+  const std::vector<std::uint32_t> ons = f.on_set();
+  std::vector<std::vector<int>> row_primes(ons.size());
+  std::vector<std::vector<int>> prime_rows(primes.size());
+  for (std::size_t r = 0; r < ons.size(); ++r) {
+    for (std::size_t p = 0; p < primes.size(); ++p) {
+      if (!primes[p].covers(ons[r])) continue;
+      row_primes[r].push_back(static_cast<int>(p));
+      prime_rows[p].push_back(static_cast<int>(r));
     }
   }
-  // Drop primes that no longer cover any remaining row.
-  std::erase_if(primes, [&ons](const Cube& c) {
-    return std::none_of(ons.begin(), ons.end(),
-                        [&c](std::uint32_t r) { return c.covers(r); });
-  });
-
-  if (!ons.empty() && static_cast<int>(primes.size()) <= bnb_limit) {
-    std::vector<std::vector<int>> row_cols(ons.size());
-    for (std::size_t r = 0; r < ons.size(); ++r) {
-      for (std::size_t p = 0; p < primes.size(); ++p) {
-        if (primes[p].covers(ons[r])) row_cols[r].push_back(static_cast<int>(p));
-      }
+  std::vector<std::uint8_t> done(ons.size(), 0);
+  std::size_t left = ons.size();
+  std::vector<Cube> chosen;
+  const auto take = [&](int p) {
+    chosen.push_back(primes[static_cast<std::size_t>(p)]);
+    for (const int r : prime_rows[static_cast<std::size_t>(p)]) {
+      if (done[static_cast<std::size_t>(r)] != 0) continue;
+      done[static_cast<std::size_t>(r)] = 1;
+      --left;
     }
-    CoverSolver solver{row_cols, static_cast<int>(primes.size()), {}, false};
-    std::vector<int> cur;
-    std::vector<std::uint8_t> done(ons.size(), 0);
-    solver.solve(cur, done, ons.size());
+  };
+
+  // Essential primes: rows covered by exactly one prime. Taking one never
+  // changes another row's count (it covers every row that counted it).
+  for (std::size_t r = 0; r < ons.size(); ++r) {
+    if (done[r] == 0 && row_primes[r].size() == 1) take(row_primes[r][0]);
+  }
+  const auto rows_left = [&](std::size_t p) {
+    return static_cast<std::size_t>(std::count_if(
+        prime_rows[p].begin(), prime_rows[p].end(),
+        [&](int r) { return done[static_cast<std::size_t>(r)] == 0; }));
+  };
+  std::size_t useful = 0;  // primes still covering a remaining row
+  for (std::size_t p = 0; p < primes.size(); ++p) useful += rows_left(p) > 0;
+
+  if (left > 0 && useful <= kBnbLimit) {
+    CoverSolver solver{row_primes, prime_rows, done, {}, {}};
+    solver.solve(left);
     if (solver.have_best) {
-      for (const int p : solver.best) {
-        chosen.push_back(primes[static_cast<std::size_t>(p)]);
-      }
-      ons.clear();
+      for (const int p : solver.best) take(p);
     }
   }
   // Greedy completion for anything left.
-  while (!ons.empty()) {
-    std::size_t best_p = 0;
+  while (left > 0) {
+    int best_p = -1;
     std::size_t best_cover = 0;
     for (std::size_t p = 0; p < primes.size(); ++p) {
-      const std::size_t c = static_cast<std::size_t>(
-          std::count_if(ons.begin(), ons.end(), [&](std::uint32_t r) {
-            return primes[p].covers(r);
-          }));
+      const std::size_t c = rows_left(p);
       if (c > best_cover) {
         best_cover = c;
-        best_p = p;
+        best_p = static_cast<int>(p);
       }
     }
-    assert(best_cover > 0);
-    const Cube c = primes[best_p];
-    chosen.push_back(c);
-    std::erase_if(ons, [&c](std::uint32_t r) { return c.covers(r); });
+    assert(best_p >= 0);
+    take(best_p);
   }
   return chosen;
 }
 
 }  // namespace
 
-std::vector<Cube> minimize_qm(const TruthTable& f, int bnb_limit) {
-  if (f.on_count() == 0) return {};
-  return cover_select(f, prime_implicants(f), bnb_limit);
-}
-
-// ------------------------------------------------------------- heuristic --
-
-std::vector<Cube> minimize_heuristic(const TruthTable& f) {
-  std::vector<Cube> seed;
-  const std::uint32_t full_mask = f.size() - 1;
-  for (const std::uint32_t r : f.on_set()) seed.push_back({full_mask, r});
-  return minimize_heuristic(f, std::move(seed));
-}
-
-std::vector<Cube> minimize_heuristic(const TruthTable& f, std::vector<Cube> seed) {
-  const std::vector<std::uint32_t> offs = f.off_set();
-  // Expand: raise literals (largest cubes first profit most, so try cubes
-  // with many literals first and greedily drop each literal whose removal
-  // keeps the cube off the OFF-set).
-  for (Cube& c : seed) {
-    for (int b = 0; b < f.num_inputs(); ++b) {
-      const std::uint32_t bit = 1u << b;
-      if ((c.mask & bit) == 0) continue;
-      const Cube widened{c.mask & ~bit, c.value & ~bit};
-      const bool hits_off = std::any_of(
-          offs.begin(), offs.end(),
-          [&widened](std::uint32_t r) { return widened.covers(r); });
-      if (!hits_off) c = widened;
-    }
-  }
-  // Containment pruning.
-  std::sort(seed.begin(), seed.end(), [](const Cube& a, const Cube& b) {
-    return a.literal_count() < b.literal_count();
-  });
-  std::vector<Cube> kept;
-  for (const Cube& c : seed) {
-    const bool contained = std::any_of(kept.begin(), kept.end(), [&c](const Cube& k) {
-      return k.contains(c);
-    });
-    if (!contained) kept.push_back(c);
-  }
-  // Irredundant: drop cubes whose ON rows are all covered elsewhere.
-  // (Scan ON rows, counting covering cubes.)
-  const std::vector<std::uint32_t> ons = f.on_set();
-  std::vector<std::size_t> needed_by(kept.size(), 0);
-  for (const std::uint32_t r : ons) {
-    int only = -1;
-    int count = 0;
-    for (std::size_t i = 0; i < kept.size(); ++i) {
-      if (kept[i].covers(r)) {
-        ++count;
-        only = static_cast<int>(i);
-        if (count > 1) break;
-      }
-    }
-    if (count == 1) ++needed_by[static_cast<std::size_t>(only)];
-  }
-  // Remove unneeded cubes one at a time, rechecking coverage.
-  for (std::size_t i = kept.size(); i-- > 0;) {
-    if (needed_by[i] > 0) continue;
-    std::vector<Cube> without = kept;
-    without.erase(without.begin() + static_cast<std::ptrdiff_t>(i));
-    const bool still_ok = std::all_of(ons.begin(), ons.end(), [&](std::uint32_t r) {
-      return std::any_of(without.begin(), without.end(),
-                         [r](const Cube& c) { return c.covers(r); });
-    });
-    if (still_ok) {
-      kept = std::move(without);
-      needed_by.erase(needed_by.begin() + static_cast<std::ptrdiff_t>(i));
-    }
-  }
-  return kept;
-}
-
 std::vector<Cube> minimize(const TruthTable& f) {
-  return f.num_inputs() <= 10 ? minimize_qm(f) : minimize_heuristic(f);
+  if (f.on_count() == 0) return {};
+  std::vector<Cube> on_dc = exact_cover(f, Tri::One);
+  const std::vector<Cube> dc = exact_cover(f, Tri::DontCare);
+  on_dc.insert(on_dc.end(), dc.begin(), dc.end());
+  std::vector<Cube> primes = all_primes(on_dc);
+  // Most literals first, then cube order: the order Quine-McCluskey's
+  // level-by-level tabulation emits, which cover_select's tie-breaks key on.
+  std::sort(primes.begin(), primes.end(), [](const Cube& a, const Cube& b) {
+    const int la = a.literal_count(), lb = b.literal_count();
+    return la != lb ? la > lb : a < b;
+  });
+  return cover_select(f, primes);
 }
 
 // ----------------------------------------------------------- multi-output --
@@ -358,14 +248,13 @@ bool PlaTerms::evaluate(int output, std::uint32_t minterm) const {
   return false;
 }
 
-PlaTerms minimize_multi(const MultiFunction& f, bool use_heuristic) {
+PlaTerms minimize_multi(const MultiFunction& f) {
   PlaTerms out;
   out.num_inputs = f.num_inputs;
   std::map<Cube, int> term_index;
   for (const TruthTable& table : f.outputs) {
     assert(table.num_inputs() == f.num_inputs);
-    const std::vector<Cube> cover =
-        use_heuristic ? minimize_heuristic(table) : minimize(table);
+    const std::vector<Cube> cover = minimize(table);
     std::vector<int> indices;
     indices.reserve(cover.size());
     for (const Cube& c : cover) {

@@ -5,13 +5,22 @@
 // minimized sum-of-products cover. This module provides:
 //   * TruthTable  - explicit function representation (with don't-cares)
 //   * Cube        - a product term as (mask, value) bit pairs
-//   * minimize_qm - Quine-McCluskey prime generation + branch-and-bound
-//                   unate covering (minimum cover for small charts, greedy
-//                   completion for large ones)
-//   * minimize_heuristic - espresso-flavored expand/irredundant pass, much
-//                   faster for wide functions
+//   * minimize    - the one two-level minimizer, at every width
 //   * minimize_multi - multi-output minimization with product-term sharing,
 //                   the form a PLA personality wants
+//
+// minimize works on cubes, never on the minterm-by-minterm tabulation of
+// Quine-McCluskey. It takes the exact cover of ON ∪ DC, then generates
+// every prime implicant by Shannon recursion on the most-bound variable
+// (all_primes in equiv.hpp, espresso's primitive): primes(F) =
+// absorb{x'·p0, x·p1, p0∩p1} over the primes p0, p1 of the two cofactors. The primes are sorted by
+// literal count descending, then by Cube order — exactly the order QM's
+// level tabulation emitted them — and handed to one unate covering step:
+// essential primes, then a minimum cover by branch-and-bound when at most
+// 26 primes remain, else greedy completion. The covering step breaks ties
+// by prime order, so that sort is what makes the covers cube-for-cube
+// those QM produced; it is part of the output contract (PLA artwork and
+// the golden netlists depend on it).
 #pragma once
 
 #include <cstdint>
@@ -74,22 +83,10 @@ class TruthTable {
   std::vector<std::uint8_t> rows_;
 };
 
-/// Quine-McCluskey: all prime implicants of on-set plus dc-set.
-[[nodiscard]] std::vector<Cube> prime_implicants(const TruthTable& f);
-
-/// Prime-implicant minimization. Minimum-cardinality cover when the
-/// covering problem is small enough for branch-and-bound (<= `bnb_limit`
-/// primes), essential+greedy completion otherwise.
-[[nodiscard]] std::vector<Cube> minimize_qm(const TruthTable& f,
-                                            int bnb_limit = 26);
-
-/// Espresso-flavored heuristic: seed with on-set rows (or a given cover),
-/// expand cubes against the off-set, then drop redundant cubes.
-[[nodiscard]] std::vector<Cube> minimize_heuristic(const TruthTable& f);
-[[nodiscard]] std::vector<Cube> minimize_heuristic(const TruthTable& f,
-                                                   std::vector<Cube> seed);
-
-/// Auto-select: QM for narrow functions, heuristic for wide ones.
+/// A cover of `f` made only of prime implicants: every ON row covered, no
+/// OFF row touched, don't-cares free. Minimum-cardinality when the
+/// covering problem left after essentials fits branch-and-bound, greedy
+/// completion otherwise. Empty when `f` has no ON row.
 [[nodiscard]] std::vector<Cube> minimize(const TruthTable& f);
 
 // ---- multi-output ----
@@ -111,7 +108,6 @@ struct PlaTerms {
 };
 
 /// Minimize every output and share identical product terms.
-[[nodiscard]] PlaTerms minimize_multi(const MultiFunction& f,
-                                      bool use_heuristic = false);
+[[nodiscard]] PlaTerms minimize_multi(const MultiFunction& f);
 
 }  // namespace silc::logic

@@ -199,8 +199,7 @@ PlaResult generate_from_personality(Library& lib,
 
 PlaResult generate(Library& lib, const logic::MultiFunction& f,
                    const PlaOptions& options) {
-  const logic::PlaTerms personality =
-      logic::minimize_multi(complement(f), options.use_heuristic_minimizer);
+  const logic::PlaTerms personality = logic::minimize_multi(complement(f));
   return generate_from_personality(lib, personality, options);
 }
 

@@ -16,7 +16,8 @@
 //
 // Because both planes are NOR arrays, the generator programs the *complement*
 // cover of each output: out_k = NOR(products of cover(~f_k)) = f_k. The
-// convenience entry point below does the complementing and minimizing; the
+// convenience entry point below does the complementing and minimizing
+// (logic::minimize_multi, the one two-level minimizer); the
 // personality-level entry point is exposed for benchmarks and tests.
 //
 // Every row pullup is a depletion device whose gate is tied to the row with
@@ -31,7 +32,6 @@ namespace silc::pla {
 
 struct PlaOptions {
   std::string name = "pla";
-  bool use_heuristic_minimizer = false;
 };
 
 struct PlaStats {

@@ -1,12 +1,20 @@
-// Logic minimization tests: prime implicants, QM covering, heuristic
-// expansion — correctness is checked by equivalence against the original
-// function (property-style across random functions).
+// Logic minimization tests: the one minimizer's covers on hand-picked
+// functions, its quality pinned on every committed design, and a fuzz that
+// proves each cover exact and prime — plus the symbolic equivalence
+// primitives the pipeline's pla-check stage proves covers with.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <string>
 
+#include "design_sources.hpp"
+#include "fuzz_env.hpp"
 #include "logic/equiv.hpp"
 #include "logic/logic.hpp"
+#include "pla/pla.hpp"
+#include "rtl/rtl.hpp"
+#include "synth/synth.hpp"
 
 namespace silc::logic {
 namespace {
@@ -41,7 +49,7 @@ TEST(Minimize, MajorityIsThreeTerms) {
   // maj(a,b,c) = ab + ac + bc: classic minimal cover.
   const TruthTable t = TruthTable::from_function(
       3, [](std::uint32_t r) { return __builtin_popcount(r) >= 2; });
-  const std::vector<Cube> cover = minimize_qm(t);
+  const std::vector<Cube> cover = minimize(t);
   EXPECT_EQ(cover.size(), 3u);
   EXPECT_TRUE(t.implemented_by(cover));
   for (const Cube& c : cover) EXPECT_EQ(c.literal_count(), 2);
@@ -50,7 +58,7 @@ TEST(Minimize, MajorityIsThreeTerms) {
 TEST(Minimize, XorNeedsAllMinterms) {
   const TruthTable t = TruthTable::from_function(
       4, [](std::uint32_t r) { return (__builtin_popcount(r) & 1) != 0; });
-  const std::vector<Cube> cover = minimize_qm(t);
+  const std::vector<Cube> cover = minimize(t);
   EXPECT_EQ(cover.size(), 8u);  // parity has no mergeable minterms
   EXPECT_TRUE(t.implemented_by(cover));
 }
@@ -58,13 +66,12 @@ TEST(Minimize, XorNeedsAllMinterms) {
 TEST(Minimize, ConstantFunctions) {
   const TruthTable ones =
       TruthTable::from_function(4, [](std::uint32_t) { return true; });
-  const std::vector<Cube> cover = minimize_qm(ones);
+  const std::vector<Cube> cover = minimize(ones);
   ASSERT_EQ(cover.size(), 1u);
   EXPECT_EQ(cover[0].mask, 0u);  // tautology cube
   const TruthTable zeros =
       TruthTable::from_function(4, [](std::uint32_t) { return false; });
-  EXPECT_TRUE(minimize_qm(zeros).empty());
-  EXPECT_TRUE(minimize_heuristic(zeros).empty());
+  EXPECT_TRUE(minimize(zeros).empty());
 }
 
 TEST(Minimize, DontCaresAreExploited) {
@@ -74,56 +81,32 @@ TEST(Minimize, DontCaresAreExploited) {
   t.set(3, Tri::DontCare);
   t.set(5, Tri::DontCare);
   t.set(7, Tri::DontCare);
-  const std::vector<Cube> cover = minimize_qm(t);
+  const std::vector<Cube> cover = minimize(t);
   ASSERT_EQ(cover.size(), 1u);
   EXPECT_EQ(cover[0].mask, 1u);
   EXPECT_EQ(cover[0].value, 1u);
   EXPECT_TRUE(t.implemented_by(cover));
 }
 
-TEST(PrimeImplicants, SevenSegmentStyleFunction) {
+TEST(Minimize, QmTextbookExample) {
   // The classic QM textbook example: f = sum(4,8,10,11,12,15), dc(9,14).
   TruthTable t(4);
   for (const std::uint32_t m : {4u, 8u, 10u, 11u, 12u, 15u}) t.set(m, Tri::One);
   for (const std::uint32_t m : {9u, 14u}) t.set(m, Tri::DontCare);
-  const std::vector<Cube> cover = minimize_qm(t);
+  const std::vector<Cube> cover = minimize(t);
   EXPECT_TRUE(t.implemented_by(cover));
-  // Known minimum: 3 terms (x1x2'x3' + x0x2' + x0x2... in some polarity).
-  EXPECT_LE(cover.size(), 3u);
+  // Known minimum: 3 terms, x2x1'x0' + x3x2' + x3x1 (x0 = bit 0).
+  EXPECT_EQ(cover.size(), 3u);
 }
 
-class RandomFunctionTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(RandomFunctionTest, QmAndHeuristicBothImplementTheFunction) {
-  std::mt19937 rng(static_cast<unsigned>(GetParam()));
-  std::uniform_int_distribution<int> nbits(1, 6);
-  std::uniform_int_distribution<int> tri(0, 9);
-  for (int trial = 0; trial < 8; ++trial) {
-    const int n = nbits(rng);
-    TruthTable t(n);
-    for (std::uint32_t r = 0; r < t.size(); ++r) {
-      const int x = tri(rng);
-      t.set(r, x < 4 ? Tri::Zero : (x < 8 ? Tri::One : Tri::DontCare));
-    }
-    const std::vector<Cube> qm = minimize_qm(t);
-    const std::vector<Cube> heur = minimize_heuristic(t);
-    EXPECT_TRUE(t.implemented_by(qm)) << "qm n=" << n;
-    EXPECT_TRUE(t.implemented_by(heur)) << "heur n=" << n;
-    // QM-with-B&B never loses to the heuristic by more than rounding.
-    EXPECT_LE(qm.size(), heur.size() + 1);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, RandomFunctionTest, ::testing::Range(0, 10));
-
-TEST(Minimize, WideFunctionViaHeuristic) {
-  // 12 inputs: a sparse function the heuristic should compress well.
+TEST(Minimize, WideFunction) {
+  // 12 inputs: two product terms, each a prime.
   const TruthTable t = TruthTable::from_function(12, [](std::uint32_t r) {
     return (r & 0xF0F) == 0xF0F || (r & 0x0F0) == 0;
   });
-  const std::vector<Cube> cover = minimize_heuristic(t);
+  const std::vector<Cube> cover = minimize(t);
   EXPECT_TRUE(t.implemented_by(cover));
-  EXPECT_LE(cover.size(), 4u);  // two product terms + expansion slack
+  EXPECT_EQ(cover.size(), 2u);
 }
 
 TEST(MultiOutput, SharedTerms) {
@@ -144,16 +127,129 @@ TEST(MultiOutput, SharedTerms) {
   }
 }
 
-TEST(MultiOutput, HeuristicPath) {
+TEST(MultiOutput, ElevenInputs) {
   MultiFunction f;
   f.num_inputs = 11;
   f.outputs.push_back(TruthTable::from_function(
       11, [](std::uint32_t r) { return (r & 0x41) == 0x41; }));
-  const PlaTerms terms = minimize_multi(f, true);
+  const PlaTerms terms = minimize_multi(f);
   ASSERT_EQ(terms.output_terms.size(), 1u);
+  EXPECT_EQ(terms.term_count(), 1u);
   for (std::uint32_t r = 0; r < (1u << 11); ++r) {
     EXPECT_EQ(terms.evaluate(0, r), (r & 0x41) == 0x41);
   }
+}
+
+// ------------------------------------------------ minimizer quality pins --
+
+struct DesignQuality {
+  std::string name;
+  MultiFunction function;
+  std::size_t terms;
+  int literals;
+};
+
+/// The E7b 8-state ring: advance on the input, flag state 7.
+synth::Fsm ring8() {
+  synth::Fsm fsm;
+  fsm.num_states = 8;
+  fsm.num_inputs = 1;
+  fsm.num_outputs = 1;
+  fsm.next.assign(8, std::vector<int>(2));
+  fsm.out.assign(8, std::vector<std::uint32_t>(2));
+  for (std::size_t st = 0; st < 8; ++st) {
+    fsm.next[st] = {static_cast<int>(st), static_cast<int>((st + 1) % 8)};
+    fsm.out[st] = {st == 7 ? 1u : 0u, st == 7 ? 1u : 0u};
+  }
+  return fsm;
+}
+
+MultiFunction tabulated(const std::string& source) {
+  return synth::tabulate(rtl::parse(source)).function;
+}
+
+/// Terms/literals of the complement covers a PLA programs, for every
+/// behavioral design the compiler builds and the E7b encoding ablation.
+/// counter3-9, gray2, traffic and E7b match the Quine-McCluskey covers
+/// cube for cube; counter10-12 match the old wide-function heuristic's
+/// counts.
+TEST(MinimizeQuality, CommittedDesignsKeepTheirTermAndLiteralCounts) {
+  std::vector<DesignQuality> designs;
+  const std::pair<std::size_t, int> counters[] = {
+      {12, 24},  {18, 38},  {25, 55},  {33, 75},   {42, 98},
+      {52, 124}, {63, 153}, {75, 185}, {88, 220}, {102, 258}};
+  for (int w = 3; w <= 12; ++w) {
+    const auto [terms, lits] = counters[w - 3];
+    designs.push_back({"counter" + std::to_string(w),
+                       tabulated(silc_fixtures::counter_source(w)), terms,
+                       lits});
+  }
+  designs.push_back({"gray2", tabulated(silc_fixtures::kGray2Source), 7, 14});
+  designs.push_back(
+      {"traffic", tabulated(silc_fixtures::kTrafficSource), 23, 53});
+  designs.push_back({"e7b-binary",
+                     synth::encode(ring8(), synth::Encoding::Binary), 12, 24});
+  designs.push_back(
+      {"e7b-gray", synth::encode(ring8(), synth::Encoding::Gray), 12, 25});
+  designs.push_back({"e7b-one-hot",
+                     synth::encode(ring8(), synth::Encoding::OneHot), 17, 33});
+
+  for (const DesignQuality& d : designs) {
+    SCOPED_TRACE(d.name);
+    const MultiFunction comp = pla::complement(d.function);
+    const PlaTerms p = minimize_multi(comp);
+    int literals = 0;
+    for (const Cube& c : p.terms) literals += c.literal_count();
+    EXPECT_EQ(p.term_count(), d.terms);
+    EXPECT_EQ(literals, d.literals);
+    ASSERT_EQ(p.output_terms.size(), comp.outputs.size());
+    for (std::size_t k = 0; k < comp.outputs.size(); ++k) {
+      std::vector<Cube> cover;
+      for (const int t : p.output_terms[k]) {
+        cover.push_back(p.terms[static_cast<std::size_t>(t)]);
+      }
+      EXPECT_TRUE(check_cover_equiv(comp.outputs[k], cover).equal)
+          << "output " << k;
+    }
+  }
+}
+
+/// Random functions of 1-12 inputs with 0-80% don't-cares: every cover
+/// implements its table (exhaustively and symbolically) and every cube is
+/// prime — raising any one of its literals reaches the OFF-set.
+TEST(MinimizeFuzz, CoversAreExactAndPrime) {
+  silc_fixtures::fuzz_seeds(
+      "test_logic", "MinimizeFuzz.CoversAreExactAndPrime", 1400, 60,
+      [](unsigned seed) {
+        std::mt19937 rng(seed);
+        const int n = std::uniform_int_distribution<int>(1, 12)(rng);
+        const int dc_pct = std::uniform_int_distribution<int>(0, 80)(rng);
+        const int on_pct = std::uniform_int_distribution<int>(5, 95)(rng);
+        std::uniform_int_distribution<int> pct(0, 99);
+        TruthTable t(n);
+        for (std::uint32_t r = 0; r < t.size(); ++r) {
+          if (pct(rng) < dc_pct) {
+            t.set(r, Tri::DontCare);
+          } else {
+            t.set(r, pct(rng) < on_pct ? Tri::One : Tri::Zero);
+          }
+        }
+        const std::vector<Cube> cover = minimize(t);
+        ASSERT_TRUE(t.implemented_by(cover)) << "n=" << n;
+        ASSERT_TRUE(check_cover_equiv(t, cover).equal) << "n=" << n;
+        const std::vector<std::uint32_t> offs = t.off_set();
+        for (const Cube& c : cover) {
+          for (std::uint32_t m = c.mask; m != 0; m &= m - 1) {
+            const std::uint32_t bit = m & (~m + 1u);
+            const Cube raised{c.mask & ~bit, c.value & ~bit};
+            EXPECT_TRUE(std::any_of(
+                offs.begin(), offs.end(),
+                [&raised](std::uint32_t r) { return raised.covers(r); }))
+                << "cube " << c.to_string(n) << " is not prime: literal "
+                << __builtin_ctz(bit) << " can be raised";
+          }
+        }
+      });
 }
 
 // ------------------------------------------------- symbolic equivalence --
@@ -232,7 +328,7 @@ TEST(Equiv, FuzzAgreesWithImplementedBy) {
     // Half the trials check a cover that implements the function by
     // construction; half check arbitrary random covers.
     if (trial % 2 == 0) {
-      cover = (trial % 4 == 0) ? minimize_qm(t) : minimize_heuristic(t);
+      cover = minimize(t);
     } else {
       const int k = ncubes(rng);
       for (int i = 0; i < k; ++i) {
@@ -277,7 +373,7 @@ TEST(Equiv, ComplementCoverRoundTripsThroughNorSemantics) {
           if (v == Tri::Zero) return Tri::One;
           return Tri::DontCare;
         });
-    const std::vector<Cube> plane = minimize_qm(comp);
+    const std::vector<Cube> plane = minimize(comp);
     EXPECT_TRUE(check_cover_equiv(comp, plane).equal);
     // NOR of the plane reproduces the function on every care row.
     for (std::uint32_t r = 0; r < t.size(); ++r) {

@@ -290,7 +290,8 @@ TEST(Store, WriterReaderRoundTripAndBoundsChecks) {
   // A string length larger than the remaining bytes is rejected.
   store::Writer lw;
   lw.u32(1000000);  // claims a megabyte that is not there
-  store::Reader lied(lw.take().append("abc", 3));
+  const std::string lie = lw.take().append("abc", 3);  // Reader keeps a ref
+  store::Reader lied(lie);
   EXPECT_EQ(lied.str(), "");
   EXPECT_FALSE(lied.ok());
 }
