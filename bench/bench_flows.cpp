@@ -39,7 +39,9 @@
 // a preloaded (second-process) run must serve every job from the store
 // and cut the drc+extract stage totals at least 3x, or the bench exits
 // non-zero. The cells-warm drc cost also feeds a "drc.warm" budget row,
-// so a silent fall-back to cold recompute breaks the latency gate.
+// so a silent fall-back to cold recompute breaks the latency gate. The
+// block's "saved" says whether the batch rewrote the store: an all-hit
+// run learns nothing and leaves the file in place.
 // --artifacts=FILE writes one deterministic line per job (content hashes,
 // no wall clocks) for byte-identity diffs across processes.
 // Flags: --json=PATH (default BENCH_compile.json), --smoke (fewer batch
@@ -611,14 +613,16 @@ int run_suite(const std::string& json_path, bool smoke,
     std::printf(
         "persist: %s store, %llu hits / %llu misses, drc+extract "
         "%.2f ms cold vs %.2f ms warm (%.1fx), cells-only warm "
-        "%.2f ms, store %llu bytes, load %.1f ms, save %.1f ms\n",
+        "%.2f ms, store %llu bytes, load %.1f ms, %s %.1f ms\n",
         persist.preloaded ? "preloaded" : "cold",
         static_cast<unsigned long long>(persist.batch.store.hits),
         static_cast<unsigned long long>(persist.batch.store.misses),
         persist.cold_drc_extract_ms, persist.warm_drc_extract_ms, speedup,
         persist.cells_drc_extract_ms,
         static_cast<unsigned long long>(persist.batch.store.file_bytes),
-        persist.batch.store.load_ms, persist.batch.store.save_ms);
+        persist.batch.store.load_ms,
+        persist.batch.store.saved ? "saved" : "save skipped",
+        persist.batch.store.save_ms);
   }
   if (!artifacts_path.empty()) {
     const silc::core::BatchResult& dump =
@@ -739,7 +743,7 @@ int run_suite(const std::string& json_path, bool smoke,
         "  \"persist\": {\"preloaded\": %s, \"store_hits\": %llu, "
         "\"store_misses\": %llu, \"store_poisoned\": %llu, "
         "\"loaded_records\": %llu, \"file_bytes\": %llu, "
-        "\"load_ms\": %.2f, \"save_ms\": %.2f, "
+        "\"saved\": %s, \"load_ms\": %.2f, \"save_ms\": %.2f, "
         "\"cold_drc_extract_ms\": %.2f, \"warm_drc_extract_ms\": %.2f, "
         "\"cells_warm_drc_ms_per_run\": %.3f, "
         "\"cells_warm_extract_ms_per_run\": %.3f, "
@@ -751,6 +755,7 @@ int run_suite(const std::string& json_path, bool smoke,
         static_cast<unsigned long long>(persist.batch.store.poisoned),
         static_cast<unsigned long long>(persist.batch.store.loaded_records),
         static_cast<unsigned long long>(persist.batch.store.file_bytes),
+        persist.batch.store.saved ? "true" : "false",
         persist.batch.store.load_ms, persist.batch.store.save_ms,
         persist.cold_drc_extract_ms, persist.warm_drc_extract_ms,
         persist.cells_drc_ms_per_run, persist.cells_extract_ms_per_run,

@@ -25,9 +25,10 @@
 #     path stays exercised end to end;
 #   * the persistent-store leg runs the smoke batch twice against one
 #     --cache-dir in separate processes: the warm run must be
-#     byte-identical to the cold run and record store hits; a store
-#     truncated mid-record must cold-start with a warning and a poisoned
-#     counter; the warm run also enforces the drc.warm latency budget;
+#     byte-identical to the cold run, all store hits, and leave the store
+#     file in place (same inode); a store truncated mid-record must
+#     cold-start with a warning and a poisoned counter; the warm run also
+#     enforces the drc.warm latency budget;
 #   * the incremental leg runs bench_incremental (which itself enforces
 #     edit == scratch byte-identity and the 10x edit-vs-cold-compile
 #     floor), diffs the incremental-vs-scratch artifact dumps externally,
@@ -139,14 +140,17 @@ elif [ -x "$BUILD_DIR/bench_flows" ]; then
 
   # --- persistent store: warm compiles across processes -----------------
   # Two smoke batches against one --cache-dir, separate processes. The
-  # second must (a) produce byte-identical artifacts to the first and
-  # (b) serve warm store hits. Then the corruption self-test: a store
-  # truncated mid-record must cold-start with a warning diag and a
-  # non-zero poisoned counter — and still exit clean.
+  # second must (a) produce byte-identical artifacts to the first,
+  # (b) serve every job from the store and (c) not rewrite the store
+  # file. Then the corruption self-test: a store truncated mid-record
+  # must cold-start with a warning diag and a non-zero poisoned counter
+  # — and still exit clean.
   CACHE_DIR=$(mktemp -d)
+  STORE_FILE="$CACHE_DIR/silc.store"
   "$BUILD_DIR/bench_flows" --smoke --cache-dir="$CACHE_DIR" \
       --json="$BUILD_DIR/BENCH_compile_persist1.json" \
       --artifacts="$BUILD_DIR/artifacts_cold.txt"
+  COLD_INODE=$(stat -c %i "$STORE_FILE")
   # --budgets on the warm run adds the drc.warm row to the latency gate:
   # a silent fall-back to cold recompute breaks the budget, not just the
   # hit-count check below.
@@ -165,7 +169,18 @@ elif [ -x "$BUILD_DIR/bench_flows" ]; then
     rm -rf "$CACHE_DIR"
     exit 1
   fi
-  STORE_FILE="$CACHE_DIR/silc.store"
+  # An all-hit run learns nothing, so it must leave the store file in
+  # place: a save renames a fresh file over it, which changes the inode.
+  if ! grep -q '"store_misses": 0,' "$BUILD_DIR/BENCH_compile_persist2.json"; then
+    echo "ERROR: second run against a warm store was not all hits" >&2
+    rm -rf "$CACHE_DIR"
+    exit 1
+  fi
+  if [ "$(stat -c %i "$STORE_FILE")" != "$COLD_INODE" ]; then
+    echo "ERROR: the all-hit run rewrote $STORE_FILE" >&2
+    rm -rf "$CACHE_DIR"
+    exit 1
+  fi
   STORE_SIZE=$(stat -c%s "$STORE_FILE" 2>/dev/null || stat -f%z "$STORE_FILE")
   truncate -s "$((STORE_SIZE - 7))" "$STORE_FILE"
   "$BUILD_DIR/bench_flows" --smoke --cache-dir="$CACHE_DIR" \
@@ -182,7 +197,7 @@ elif [ -x "$BUILD_DIR/bench_flows" ]; then
     exit 1
   fi
   rm -rf "$CACHE_DIR"
-  echo "persistent-store leg: warm hits byte-identical, corruption cold-starts"
+  echo "persistent-store leg: warm hits byte-identical, store left in place, corruption cold-starts"
 
   # --- one batch leg on the compiled pla-check engine -------------------
   # The symbolic prover is the default; this leg keeps the compiled

@@ -100,8 +100,10 @@ class IncrementalSession {
   /// store/store.hpp). False when the file is absent or poisoned — the
   /// session just starts cold, exactly like the batch compiler.
   bool load_store(const std::string& cache_dir);
-  /// Persist the per-cell caches to `cache_dir`/silc.store. False when
-  /// the file can't be written (a warning-grade event, never fatal).
+  /// Persist the per-cell caches to `cache_dir`/silc.store. Skipped (and
+  /// true) when the session learned nothing since it cleanly loaded or
+  /// saved that file (core::CacheSet::save). False when the file can't be
+  /// written (a warning-grade event, never fatal).
   bool save_store(const std::string& cache_dir) const;
 
   [[nodiscard]] drc::VerdictCache& drc_cache() { return caches_->drc; }

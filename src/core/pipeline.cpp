@@ -562,7 +562,8 @@ CompileResult compile(layout::Library& lib, Flow flow,
                       const std::string& source,
                       const CompileOptions& options) {
   // Standalone persistent path: a caller that set cache_dir without
-  // wiring caches gets the full load→attach→run→save cycle locally.
+  // wiring caches gets the full load→attach→run→save cycle locally (the
+  // save is skipped when the compile was a store hit).
   // compile_many wires shared caches itself (and clears cache_dir from
   // the per-job options), so batch jobs never take this branch.
   if (!options.cache_dir.empty() && options.result_cache == nullptr &&
@@ -733,7 +734,9 @@ BatchResult compile_many(const std::vector<BatchJob>& jobs, int threads) {
 
   // Save once after the crew joins: everything the batch learned — the
   // union of what was loaded and what was computed — goes back in one
-  // atomic rename. A failed save is a warning, never a failed batch.
+  // atomic rename, unless it learned nothing its clean load lacked (an
+  // all-hit batch), when the file is left as it is. A failed save is a
+  // warning, never a failed batch.
   if (!cache_dir.empty()) {
     const auto t_save = std::chrono::steady_clock::now();
     if (!caches.save(cache_dir)) {
@@ -743,6 +746,7 @@ BatchResult compile_many(const std::vector<BatchJob>& jobs, int threads) {
                            std::chrono::steady_clock::now() - t_save)
                            .count();
     br.store.file_bytes = caches.file_bytes;
+    br.store.saved = caches.saved;
     br.store.hits = caches.result.hits();
     br.store.misses = caches.result.misses();
   }

@@ -383,9 +383,16 @@ struct StoreCounters {
   std::uint64_t misses = 0;    // ResultCache misses (compiled fresh)
   std::uint64_t poisoned = 0;  // corrupt/skewed store file cold starts
   std::uint64_t loaded_records = 0;  // records read from the store file
-  std::uint64_t file_bytes = 0;      // bytes of the saved store file
-  double load_ms = 0;  // CacheSet::load: file read + cache decode
-  double save_ms = 0;  // CacheSet::save: cache encode + file write
+  // Bytes of the store file after the batch: the one it wrote, or the
+  // one it left in place when the save was skipped.
+  std::uint64_t file_bytes = 0;
+  // True when the batch wrote the store file. False when the save was
+  // skipped because the batch learned nothing its clean load lacked (an
+  // all-hit batch), or when the save failed (store_diags says why).
+  bool saved = false;
+  double load_ms = 0;  // CacheSet::load: file read + key decode
+  double save_ms = 0;  // CacheSet::save: cache encode + file write, or
+                       // the skip check
 };
 
 struct BatchResult {

@@ -1,6 +1,7 @@
 #include "core/result_cache.hpp"
 
 #include "base/fnv.hpp"
+#include "obs/obs.hpp"
 
 namespace silc::core {
 
@@ -117,16 +118,10 @@ bool ResultCache::eligible(const CompileResult& r) {
   return true;
 }
 
-std::shared_ptr<const std::string> ResultCodec::decode(
-    const std::string& payload) {
-  CompileResult probe;
-  if (!decode_result(payload, &probe)) return nullptr;
-  return std::make_shared<const std::string>(payload);
-}
-
 bool ResultCache::find(std::uint64_t fp, CompileResult* out) const {
-  const Ptr payload = ContentCache::find(fp);
-  return payload != nullptr && decode_result(*payload, out);
+  return read(fp, [out](const Ptr& payload) {
+    return decode_result(*payload, out);
+  });
 }
 
 void ResultCache::store(std::uint64_t fp, const CompileResult& r) {
@@ -142,25 +137,40 @@ std::string store_file(const std::string& cache_dir) {
 }  // namespace
 
 bool CacheSet::load(const std::string& cache_dir) {
+  // Loading into caches that already hold entries leaves them holding
+  // more than the file, so only a load into empty ones is in sync.
+  const bool empty =
+      drc.size() == 0 && extract.size() == 0 && result.size() == 0;
   store::Store persist;
   const bool clean = persist.load(store_file(cache_dir));
   load_error = persist.load_error();
   loaded_records = persist.records();
+  file_bytes = persist.file_bytes();
   drc.load_from(persist);
   extract.load_from(persist);
   result.load_from(persist);
+  synced_file_ = clean && empty ? store_file(cache_dir) : std::string();
   return clean;
 }
 
 bool CacheSet::save(const std::string& cache_dir) {
+  const std::string path = store_file(cache_dir);
+  save_error.clear();
+  if (path == synced_file_ && !drc.dirty() && !extract.dirty() &&
+      !result.dirty()) {
+    saved = false;
+    SILC_OBS_COUNT("store.save_skipped", 1);
+    return true;
+  }
   store::Store out;
   drc.save_to(out);
   extract.save_to(out);
   result.save_to(out);
-  const bool ok = out.save(store_file(cache_dir));
+  saved = out.save(path);
   save_error = out.save_error();
   file_bytes = out.file_bytes();
-  return ok;
+  synced_file_ = saved ? path : std::string();
+  return saved;
 }
 
 }  // namespace silc::core

@@ -34,8 +34,10 @@ namespace silc::core {
 /// Store codec of the whole-result cache (store/content_cache.hpp): stream
 /// "result", obs counters store.* (store.hits / store.misses are what a
 /// warm compile shows), fault site result.cache.store. The cached value
-/// is the serialized CompileResult itself — decoded on every hit, so the
-/// memory and disk tiers cannot drift.
+/// is the serialized CompileResult itself — decoded on every hit by
+/// ResultCache::find, so the memory and disk tiers cannot drift. Use it
+/// only through ResultCache: that find is what rejects a malformed
+/// payload.
 struct ResultCodec {
   using Key = std::uint64_t;  // ResultCache::fingerprint
   using Value = std::string;
@@ -46,9 +48,11 @@ struct ResultCodec {
   static void encode_key(store::Writer& w, Key k) { w.u64(k); }
   static Key decode_key(store::Reader& r) { return r.u64(); }
   static std::string encode(const Value& v) { return v; }
-  /// Validates the payload as a CompileResult (malformed records are
-  /// dropped at load, not discovered as a poisoned hit later).
-  static std::shared_ptr<const Value> decode(const std::string& payload);
+  /// The payload as it is: it is decoded once, on each hit, by
+  /// ResultCache::find, which poisons (evicts and counts) one that fails.
+  static std::shared_ptr<const Value> decode(const std::string& payload) {
+    return std::make_shared<const Value>(payload);
+  }
   static std::uint64_t checksum(const Value& v) { return store::fnv1a(v); }
   static std::uint64_t bytes(const Value& v) { return v.size(); }
 };
@@ -75,7 +79,8 @@ class ResultCache : public store::ContentCache<ResultCodec> {
   [[nodiscard]] static bool eligible(const CompileResult& r);
 
   /// Materialize the stored result for `fp` into *out (from_cache = true,
-  /// chip = nullptr, empty timings/metrics). False on a miss.
+  /// chip = nullptr, empty timings/metrics). False on a miss, including a
+  /// payload that does not decode, which is evicted as poisoned.
   [[nodiscard]] bool find(std::uint64_t fp, CompileResult* out) const;
 
   /// Memoize an eligible result; no-op (not an error) otherwise.
@@ -85,9 +90,10 @@ class ResultCache : public store::ContentCache<ResultCodec> {
 /// The three caches one store file holds — per-cell DRC verdicts, per-cell
 /// partial netlists, whole compile results — with the store cycle written
 /// once: load() warms all three from a store file before work starts,
-/// save() writes all three back after it ends. compile(), compile_many(),
-/// and IncrementalSession all persist through it. load/save are not
-/// thread-safe (store/store.hpp, rule 6); the caches are.
+/// save() writes all three back after it ends, unless nothing was learned.
+/// compile(), compile_many(), and IncrementalSession all persist through
+/// it. load/save are not thread-safe (store/store.hpp, rule 6); the caches
+/// are.
 struct CacheSet {
   drc::VerdictCache drc;
   extract::NetlistCache extract;
@@ -98,14 +104,23 @@ struct CacheSet {
   /// cold-starts with the reason in load_error.
   bool load(const std::string& cache_dir);
   /// Write every cache to <cache_dir>/silc.store (tmp + atomic rename).
+  /// Skipped (saved = false, store.save_skipped counted, true returned)
+  /// when that file was cleanly loaded or saved by this set and no cache
+  /// is dirty since: the file already holds exactly what the caches do.
   /// False with save_error set when the file can't be written.
   bool save(const std::string& cache_dir);
 
-  /// What the last load() / save() saw.
+  /// What the last load() / save() saw. file_bytes is the size of the
+  /// file the last clean load read or the last save wrote or left in
+  /// place.
   std::string load_error;
   std::string save_error;
   std::size_t loaded_records = 0;
   std::uint64_t file_bytes = 0;
+  bool saved = false;  // the last save() wrote the file
+
+ private:
+  std::string synced_file_;  // holds exactly the caches' content ("" = none)
 };
 
 }  // namespace silc::core

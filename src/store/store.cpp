@@ -283,6 +283,7 @@ bool Store::load(const std::string& path) {
   const MsClock clock;
   clear();
   load_error_.clear();
+  file_bytes_ = 0;
   bool read_something = false;
   try {
     SILC_FAULT_POINT("store.load");
@@ -330,6 +331,7 @@ bool Store::load(const std::string& path) {
     if (fd >= 0) ::close(fd);
     if (ok) {
       loaded_ = true;
+      file_bytes_ = static_cast<std::uint64_t>(st.st_size);
       SILC_OBS_COUNT("store.load_ms", clock.ms());
       return true;
     }
@@ -343,6 +345,7 @@ bool Store::load(const std::string& path) {
       load_error_ = "store: empty file";
     } else if (parse(buf.data(), buf.size())) {
       loaded_ = true;
+      file_bytes_ = buf.size();
       SILC_OBS_COUNT("store.load_ms", clock.ms());
       return true;
     }

@@ -33,11 +33,23 @@
 //      store.poisoned. Corruption granularity is the whole file — a torn
 //      write is indistinguishable from a half-poisoned one, and a cold
 //      compile is cheap next to a wrong artifact (the spirit of the
-//      per-cell caches' poison-evict rule, applied at file scope).
+//      per-cell caches' poison-evict rule, applied at file scope). A cold
+//      start is always followed by a save, whatever the run learned, so
+//      the next run finds a clean file. Below file scope, a record whose
+//      checksum holds but whose payload its codec cannot decode is
+//      poisoned on its first hit (store/content_cache.hpp): evicted,
+//      counted, recomputed, never served.
 //
-//   4. Atomic save. save() serializes to "<path>.tmp" and renames over
-//      the target, so a crashed or faulted save leaves either the old
-//      file or a stray tmp — never a half-written store at the live path.
+//   4. Atomic save, and only when something was learned. save()
+//      serializes to "<path>.tmp" and renames over the target, so a
+//      crashed or faulted save leaves either the old file or a stray
+//      tmp — never a half-written store at the live path.
+//      core::CacheSet::save skips the encode and the write when it
+//      cleanly loaded that file and no cache is dirty since (no fresh
+//      entry, no eviction, no dropped record): the file already holds
+//      what the caches hold, so an all-hit run leaves it — bytes and
+//      inode — in place. Whenever a save does run, the same cache
+//      content gives the same bytes.
 //
 //   5. What may be cached: values that are pure deterministic functions
 //      of the bits folded into their key (per-cell DRC verdicts, partial
@@ -59,13 +71,16 @@
 //      counter prefix (kMetrics); encodes and decodes its Key and its
 //      Value field by field with Writer / Reader, rejecting (nullptr)
 //      any payload that is not consumed exactly (Reader::done()) so a
-//      malformed record is skipped at load; and supplies a deterministic
-//      content checksum (base/fnv.hpp) and an approximate byte size.
-//      store::ContentCache<Codec> then provides lookup, first-writer-wins,
-//      the LRU bound, checksum-on-hit poison eviction, the
-//      "<stream>.cache.store" corrupt fault site, the counters, and
-//      save_to / load_from; a member of core::CacheSet puts the new cache
-//      in the one load → attach → save cycle. An older build ignores a
+//      malformed record is poisoned on its first hit; re-encodes a
+//      decoded payload to the same bytes (an undecoded record is saved
+//      as it was loaded, a decoded one re-encoded); and supplies a
+//      deterministic content checksum (base/fnv.hpp) and an approximate
+//      byte size. store::ContentCache<Codec> then provides lookup,
+//      first-writer-wins, the LRU bound, decode on first hit,
+//      checksum-on-hit poison eviction, the "<stream>.cache.store"
+//      corrupt fault site, the counters, the dirty flag, and save_to /
+//      load_from; a member of core::CacheSet puts the new cache in the
+//      one load → attach → save cycle. An older build ignores a
 //      stream it does not know, and a newer build starts the new stream
 //      empty on an older file, so adding a stream needs no schema bump —
 //      changing an existing stream's encoding does (rule 2).
@@ -77,10 +92,13 @@
 // both degrade to cold compiles with byte-identical artifacts.
 //
 // Obs counters: store.load_ms / store.save_ms (ceil-rounded, so a
-// performed load always registers) and store.poisoned here; the
-// whole-result cache (core::ResultCodec's prefix is "store") counts
-// store.hits / store.misses / store.evictions / store.bytes, and adds to
-// store.poisoned when a result entry fails its checksum on hit.
+// performed load always registers) and store.poisoned here;
+// store.save_skipped in core::CacheSet::save, once per save it skips
+// because nothing was learned; the whole-result cache
+// (core::ResultCodec's prefix is "store") counts store.hits /
+// store.misses / store.evictions / store.bytes, and adds to
+// store.poisoned when a result entry fails its checksum or its decode on
+// hit.
 #pragma once
 
 #include <cstdint>
@@ -148,7 +166,8 @@ class Store {
   /// Sum of stream+key+payload bytes across records (payload accounting,
   /// not file size).
   [[nodiscard]] std::uint64_t bytes() const { return bytes_; }
-  /// Bytes the last successful save() wrote (0 before any save).
+  /// Bytes of the file the last clean load() read or the last successful
+  /// save() wrote (0 before either).
   [[nodiscard]] std::uint64_t file_bytes() const { return file_bytes_; }
   /// True when load() read an existing file cleanly.
   [[nodiscard]] bool loaded() const { return loaded_; }

@@ -16,6 +16,7 @@
 // failures print a one-line repro command.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <filesystem>
@@ -80,6 +81,13 @@ const Cell& small_hierarchy(Library& lib, unsigned seed) {
   o.transposing = false;
   o.parent_wires = 3;
   return silc_fixtures::random_hierarchy(lib, seed, o);
+}
+
+/// The file's inode: a save renames a fresh file over the old one.
+std::uint64_t file_inode(const std::string& path) {
+  struct stat st {};
+  return ::stat(path.c_str(), &st) == 0 ? static_cast<std::uint64_t>(st.st_ino)
+                                        : 0;
 }
 
 std::string drc_diff(const drc::Result& incr, const drc::Result& scratch) {
@@ -317,6 +325,42 @@ TEST(Incremental, StoreBaselineWarmsAcrossSessions) {
   // Absent store: a clean cold start, not an error.
   IncrementalSession other;
   EXPECT_FALSE(other.load_store(cache_dir + "/nonexistent"));
+}
+
+TEST(Incremental, SaveStoreWritesOnlyWhatTheSessionLearned) {
+  const TempDir dir("save_rule");
+  const std::string cache_dir = dir.path.string();
+  const std::string path = cache_dir + "/silc.store";
+  {
+    Library lib;
+    small_hierarchy(lib, 7);
+    IncrementalSession sess;
+    (void)sess.verify(lib, *lib.find("top"));
+    ASSERT_TRUE(sess.save_store(cache_dir));
+  }
+  const std::uint64_t written = file_inode(path);
+  ASSERT_NE(written, 0u);
+
+  // A session that loads the store and verifies what it holds learns
+  // nothing: the save leaves the file in place.
+  Library lib;
+  small_hierarchy(lib, 7);
+  IncrementalSession sess;
+  ASSERT_TRUE(sess.load_store(cache_dir));
+  const IncrVerdict v = sess.verify(lib, *lib.find("top"));
+  EXPECT_EQ(v.drc_stats.cells_reproved, 0u);
+  EXPECT_EQ(v.extract_stats.cells_reproved, 0u);
+  ASSERT_TRUE(sess.save_store(cache_dir));
+  EXPECT_EQ(file_inode(path), written)
+      << "an all-hit session rewrote the store";
+
+  // A hierarchy the store lacks is learned, and the save writes it.
+  Library other;
+  small_hierarchy(other, 8);
+  (void)sess.verify(other, *other.find("top"));
+  ASSERT_TRUE(sess.save_store(cache_dir));
+  EXPECT_NE(file_inode(path), written)
+      << "a session that learned did not save";
 }
 
 }  // namespace

@@ -11,14 +11,20 @@
 //     output-affecting option all produce keys that MISS; identical
 //     inputs across two Store instances (a file round-trip) HIT;
 //   * the one cache template under all three codecs (verdicts, partial
-//     netlists, whole results): LRU eviction, checksum poisoning, first
-//     writer wins, save_to → file → load_from replaying every entry as a
-//     hit with an identical payload, malformed records skipped; and
+//     netlists, whole results): LRU eviction, checksum poisoning (of a
+//     stored entry and of a loaded one), first writer wins, save_to →
+//     file → load_from replaying every entry as a hit with an identical
+//     payload, malformed payloads never served, the dirty flag; and
 //     NetlistCache partial netlists (proto-transistor candidate sets
 //     included) replaying a whole re-extraction as all hits;
 //   * whole-result memoization: a compile served from the store is
 //     same_outcome-identical to the compile that produced it, and
 //     compile_many's second run over a warm cache_dir is all store hits;
+//   * when a save happens: an all-hit batch, compile() or session save
+//     leaves the file untouched (same inode, same bytes), while a
+//     cold-start load, an eviction, a poisoned entry, or a new design
+//     makes it write — and a warm batch that learns writes the bytes a
+//     cold batch over the same jobs writes;
 //   * chaos: injected faults and corruption at store.load / store.save
 //     degrade to cold compiles with unchanged artifacts — never a wrong
 //     answer, never a missing one.
@@ -26,6 +32,7 @@
 // Fault-dependent tests skip under -DSILC_FAULT=OFF; counter assertions
 // gate on obs::kEnabled.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -115,6 +122,32 @@ long long counter_value(const std::vector<obs::MetricSample>& samples,
     if (s.name == name) return s.value;
   }
   return 0;
+}
+
+/// A file's inode and bytes. A save renames a fresh file over the old
+/// one, so a rewrite changes the inode even when the bytes come out equal.
+struct FileId {
+  ino_t inode = 0;
+  std::string bytes;
+  bool operator==(const FileId&) const = default;
+};
+
+FileId file_id(const std::string& path) {
+  struct stat st {};
+  EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+  return {st.st_ino, slurp(path)};
+}
+
+/// Whether `c` serves `k`. A result payload is decoded by
+/// ResultCache::find, so results are read through it; the other codecs
+/// decode inside the cache.
+template <class Cache>
+bool served(const Cache& c, const typename Cache::Key& k) {
+  return c.find(k) != nullptr;
+}
+bool served(const ResultCache& c, std::uint64_t k) {
+  CompileResult r;
+  return c.find(k, &r);
 }
 
 // ------------------------------------------------------ container basics --
@@ -402,15 +435,16 @@ struct Samples<extract::NetlistCodec> {
 
 template <>
 struct Samples<core::ResultCodec> {
-  using Cache = store::ContentCache<core::ResultCodec>;
-  static std::vector<std::pair<Cache::Key, Cache::Ptr>> make() {
+  using Cache = ResultCache;
+  using Base = store::ContentCache<core::ResultCodec>;
+  static std::vector<std::pair<Base::Key, Base::Ptr>> make() {
     Library lib;
     const CompileResult r = core::compile(
         lib, Flow::Behavioral, silc_fixtures::kGray2Source, quick("gray2"));
     EXPECT_TRUE(ResultCache::eligible(r)) << r.diag_text();
     ResultCache scratch;
-    const Cache& base = scratch;
-    std::vector<std::pair<Cache::Key, Cache::Ptr>> out;
+    const Base& base = scratch;
+    std::vector<std::pair<Base::Key, Base::Ptr>> out;
     for (std::uint64_t i = 0; i < 3; ++i) {
       CompileResult variant = r;
       variant.cif += "(variant " + std::to_string(i) + ");\n";
@@ -420,6 +454,14 @@ struct Samples<core::ResultCodec> {
     return out;
   }
 };
+
+/// A schedule that poisons every entry stored into `stream`'s cache.
+Schedule poison_schedule(const std::string& stream) {
+  Schedule s;
+  s.triggers.push_back(
+      {stream + ".cache.store", Kind::Corrupt, 0, true, 0, ""});
+  return s;
+}
 
 template <class Codec>
 class ContentCacheTyped : public ::testing::Test {
@@ -480,10 +522,7 @@ TYPED_TEST(ContentCacheTyped, PoisonedEntryIsEvictedAndCounted) {
   using Codec = TypeParam;
   typename TestFixture::Cache cache;
 
-  Schedule s;
-  s.triggers.push_back({std::string(Codec::kStream) + ".cache.store",
-                        Kind::Corrupt, 0, true, 0, ""});
-  Injector::global().arm(s);
+  Injector::global().arm(poison_schedule(Codec::kStream));
   cache.insert(this->key(0), this->value(0));
   Injector::global().disarm();
 
@@ -504,6 +543,22 @@ TYPED_TEST(ContentCacheTyped, PoisonedEntryIsEvictedAndCounted) {
   cache.insert(this->key(0), this->value(0));
   EXPECT_EQ(cache.find(this->key(0)), this->value(0));
   EXPECT_EQ(cache.poisoned(), 1u);
+
+  // A loaded record is poisoned the same way while it waits, undecoded,
+  // for its first hit — which detects and evicts it.
+  store::Store s;
+  cache.save_to(s);
+  Injector::global().arm(poison_schedule(Codec::kStream));
+  typename TestFixture::Cache loaded;
+  loaded.load_from(s);
+  Injector::global().disarm();
+  ASSERT_EQ(loaded.size(), 1u);
+  EXPECT_FALSE(loaded.dirty()) << "nothing is learned until the hit";
+  EXPECT_FALSE(served(loaded, this->key(0))) << "a poisoned load is a miss";
+  EXPECT_EQ(loaded.poisoned(), 1u);
+  EXPECT_EQ(loaded.size(), 0u);
+  EXPECT_EQ(loaded.stats().bytes, 0u);
+  EXPECT_TRUE(loaded.dirty()) << "a poison eviction must be saved";
 }
 
 TYPED_TEST(ContentCacheTyped, FirstWriterWins) {
@@ -532,19 +587,61 @@ TYPED_TEST(ContentCacheTyped, SaveLoadRoundTripReplaysAllHits) {
   typename TestFixture::Cache b;
   b.load_from(in);
   ASSERT_EQ(b.size(), 3u);
-  EXPECT_EQ(b.stats().bytes, a.stats().bytes);
+  // Undecoded records count their payload bytes until their first hit.
+  std::uint64_t raw_bytes = 0;
+  for (std::size_t i = 0; i < 3; ++i) {
+    raw_bytes += Codec::encode(*this->value(i)).size();
+  }
+  EXPECT_EQ(b.stats().bytes, raw_bytes);
   for (std::size_t i = 0; i < 3; ++i) {
     const auto got = b.find(this->key(i));
     ASSERT_NE(got, nullptr) << "entry " << i << " lost in the round trip";
     EXPECT_EQ(Codec::encode(*got), Codec::encode(*this->value(i)))
         << "entry " << i << " changed in the round trip";
   }
+  EXPECT_EQ(b.stats().bytes, a.stats().bytes)
+      << "a decoded entry counts Codec::bytes";
   EXPECT_EQ(b.hits(), 3u);
   EXPECT_EQ(b.misses(), 0u);
-  EXPECT_EQ(b.poisoned(), 0u) << "re-inserted entries must re-checksum clean";
+  EXPECT_EQ(b.poisoned(), 0u) << "decoded entries must checksum clean";
 }
 
-TYPED_TEST(ContentCacheTyped, MalformedRecordsAreSkippedAtLoad) {
+TYPED_TEST(ContentCacheTyped, DirtyOnlyWhenSomethingWasLearned) {
+  using Codec = TypeParam;
+  typename TestFixture::Cache a;
+  EXPECT_FALSE(a.dirty());
+  for (std::size_t i = 0; i < 3; ++i) a.insert(this->key(i), this->value(i));
+  EXPECT_TRUE(a.dirty()) << "a fresh insert";
+  store::Store saved;
+  a.save_to(saved);
+  EXPECT_FALSE(a.dirty()) << "saved: the store holds everything";
+  (void)a.insert(this->key(0), this->value(1));
+  EXPECT_FALSE(a.dirty()) << "a losing second writer learns nothing";
+
+  // Loading, hitting and re-saving learns nothing, and the re-save is
+  // payload-for-payload the store it loaded: undecoded records are copied
+  // as they are, decoded ones re-encode to the same bytes.
+  typename TestFixture::Cache b;
+  b.load_from(saved);
+  EXPECT_FALSE(b.dirty());
+  ASSERT_TRUE(served(b, this->key(1)));
+  EXPECT_FALSE(b.dirty()) << "a hit learns nothing";
+  store::Store again;
+  b.save_to(again);
+  ASSERT_EQ(again.records(), saved.records());
+  saved.for_each(Codec::kStream,
+                 [&](const std::string& key, const std::string& payload) {
+                   const std::string* other = again.get(Codec::kStream, key);
+                   ASSERT_NE(other, nullptr);
+                   EXPECT_EQ(*other, payload);
+                 });
+
+  // An LRU eviction drops what the store still has.
+  b.set_capacity(2);
+  EXPECT_TRUE(b.dirty()) << "an eviction must be saved";
+}
+
+TYPED_TEST(ContentCacheTyped, MalformedPayloadsAreNeverServed) {
   using Codec = TypeParam;
   typename TestFixture::Cache a;
   a.insert(this->key(0), this->value(0));
@@ -563,12 +660,30 @@ TYPED_TEST(ContentCacheTyped, MalformedRecordsAreSkippedAtLoad) {
   s.put(Codec::kStream, kw2.take(), good_payload + "junk");
   s.put(Codec::kStream, good_key.substr(0, 3), good_payload);
 
-  typename TestFixture::Cache b;
+  // The malformed key is dropped at load; the malformed payloads wait,
+  // undecoded, and each first hit finds it cannot decode them: a miss,
+  // counted as poisoned, and evicted.
+  typename Samples<Codec>::Cache b;
   b.load_from(s);
-  EXPECT_EQ(b.size(), 1u) << "only the well-formed record may load";
-  EXPECT_EQ(b.find(this->key(1)), nullptr);
-  EXPECT_EQ(b.find(this->key(2)), nullptr);
-  const auto kept = b.find(this->key(0));
+  EXPECT_EQ(b.size(), 3u) << "a record whose key does not decode is dropped";
+  EXPECT_TRUE(b.dirty()) << "a dropped record must be saved";
+  const auto before = obs::Metrics::global().snapshot();
+  EXPECT_FALSE(served(b, this->key(1)));
+  EXPECT_FALSE(served(b, this->key(2)));
+  const auto after = obs::Metrics::global().snapshot();
+  EXPECT_EQ(b.poisoned(), 2u);
+  EXPECT_EQ(b.misses(), 2u);
+  EXPECT_EQ(b.size(), 1u) << "each malformed payload is evicted";
+  if (obs::kEnabled) {
+    const std::string prefix = Codec::kMetrics;
+    EXPECT_EQ(counter_value(obs::delta(before, after), prefix + ".poisoned"),
+              2);
+  }
+  EXPECT_FALSE(served(b, this->key(1))) << "an evicted payload stays a miss";
+  EXPECT_EQ(b.poisoned(), 2u);
+  ASSERT_TRUE(served(b, this->key(0)));
+  const typename TestFixture::Cache& plain = b;
+  const auto kept = plain.find(this->key(0));
   ASSERT_NE(kept, nullptr);
   EXPECT_EQ(Codec::encode(*kept), Codec::encode(*this->value(0)));
 }
@@ -710,6 +825,7 @@ TEST(StoreResults, CompileManySecondRunIsAllStoreHits) {
   EXPECT_EQ(first.store.hits, 0u);
   EXPECT_EQ(first.store.misses, jobs.size());
   EXPECT_GT(first.store.file_bytes, 0u);
+  EXPECT_TRUE(first.store.saved);
   EXPECT_TRUE(first.store_diags.empty())
       << first.store_diags.front().message;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -726,6 +842,9 @@ TEST(StoreResults, CompileManySecondRunIsAllStoreHits) {
   EXPECT_EQ(second.store.hits, jobs.size());
   EXPECT_EQ(second.store.misses, 0u);
   EXPECT_GT(second.store.loaded_records, 0u);
+  EXPECT_FALSE(second.store.saved) << "an all-hit batch learned nothing";
+  EXPECT_EQ(second.store.file_bytes, first.store.file_bytes)
+      << "a skipped save reports the file left in place";
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     EXPECT_TRUE(second.results[i].from_cache) << "job " << i;
     EXPECT_TRUE(second.results[i].same_outcome(ref.results[i]))
@@ -745,6 +864,8 @@ TEST(StoreChaos, FaultsAtLoadAndSaveDegradeToColdCompiles) {
       {Flow::Behavioral, silc_fixtures::kGray2Source, quick("gray2")});
   jobs.push_back(
       {Flow::Structural, silc_fixtures::kInvChainSource, quick("chain")});
+  jobs.push_back({Flow::Behavioral, silc_fixtures::counter_source(3),
+                  quick("counter3")});
   const BatchResult ref = core::compile_many(jobs, 2);
   ASSERT_EQ(ref.ok_count(), jobs.size());
 
@@ -753,12 +874,16 @@ TEST(StoreChaos, FaultsAtLoadAndSaveDegradeToColdCompiles) {
     const char* site;
     Kind kind;
     bool warm_first;  // seed the store before arming
+    // The warm-up leaves the last design out, so the armed batch learns
+    // it and has something to save: an all-hit batch never saves.
+    bool learns;
   };
   const Round rounds[] = {
-      {"load fault on a warm store", "store.load", Kind::Throw, true},
-      {"load fault on a cold store", "store.load", Kind::Throw, false},
-      {"save fault", "store.save", Kind::Throw, true},
-      {"corrupted save detected next load", "store.save", Kind::Corrupt, true},
+      {"load fault on a warm store", "store.load", Kind::Throw, true, false},
+      {"load fault on a cold store", "store.load", Kind::Throw, false, false},
+      {"save fault", "store.save", Kind::Throw, true, true},
+      {"corrupted save detected next load", "store.save", Kind::Corrupt, true,
+       true},
   };
   std::uint64_t seed = 0x570fe2026ULL;
   for (const Round& round : rounds) {
@@ -767,8 +892,10 @@ TEST(StoreChaos, FaultsAtLoadAndSaveDegradeToColdCompiles) {
     std::vector<BatchJob> cached_jobs = jobs;
     cached_jobs[0].options.cache_dir = dir.path.string();
     if (round.warm_first) {
-      const BatchResult warmup = core::compile_many(cached_jobs, 2);
-      ASSERT_EQ(warmup.ok_count(), jobs.size());
+      std::vector<BatchJob> warm_jobs = cached_jobs;
+      if (round.learns) warm_jobs.pop_back();
+      const BatchResult warmup = core::compile_many(warm_jobs, 2);
+      ASSERT_EQ(warmup.ok_count(), warm_jobs.size());
     }
 
     Schedule s;
@@ -833,10 +960,306 @@ TEST(StoreChaos, TruncatedStoreFileColdStartsTheBatch) {
   ASSERT_EQ(after.ok_count(), 1u);
   EXPECT_GE(after.store.poisoned, 1u);
   EXPECT_EQ(after.store.hits, 0u) << "a torn store must not serve hits";
+  EXPECT_TRUE(after.store.saved) << "a torn store must be rewritten";
   ASSERT_FALSE(after.store_diags.empty());
   EXPECT_NE(after.store_diags[0].message.find("cold start"), std::string::npos);
   EXPECT_TRUE(after.results[0].same_outcome(warmup.results[0]))
       << after.results[0].diag_text();
+}
+
+
+// ------------------------------------------------------ when a save runs --
+//
+// core::CacheSet::save rewrites silc.store only when the caches hold
+// something the file lacks. These pin both halves: what must not write,
+// and what must.
+
+/// Three designs that are all eligible for the result cache, every job
+/// naming `cache_dir`.
+std::vector<BatchJob> save_jobs(const std::string& cache_dir) {
+  std::vector<BatchJob> jobs;
+  jobs.push_back(
+      {Flow::Behavioral, silc_fixtures::kGray2Source, quick("gray2")});
+  jobs.push_back(
+      {Flow::Structural, silc_fixtures::kInvChainSource, quick("chain")});
+  jobs.push_back({Flow::Behavioral, silc_fixtures::counter_source(3),
+                  quick("counter3")});
+  for (BatchJob& j : jobs) j.options.cache_dir = cache_dir;
+  return jobs;
+}
+
+TEST(StoreSave, AllHitBatchLeavesTheFileUntouched) {
+  const TempDir dir("all_hit");
+  const std::string path = dir.file("silc.store");
+  const std::vector<BatchJob> jobs = save_jobs(dir.path.string());
+  const BatchResult cold = core::compile_many(jobs, 2);
+  ASSERT_EQ(cold.ok_count(), jobs.size());
+  ASSERT_TRUE(cold.store.saved);
+  const FileId written = file_id(path);
+
+  const auto before = obs::Metrics::global().snapshot();
+  const BatchResult warm = core::compile_many(jobs, 2);
+  const auto after = obs::Metrics::global().snapshot();
+  EXPECT_EQ(warm.store.hits, jobs.size());
+  EXPECT_FALSE(warm.store.saved);
+  EXPECT_EQ(warm.store.file_bytes, written.bytes.size());
+  EXPECT_TRUE(warm.store_diags.empty()) << warm.store_diags.front().message;
+  EXPECT_TRUE(file_id(path) == written) << "an all-hit batch rewrote the store";
+  if (obs::kEnabled) {
+    EXPECT_EQ(counter_value(obs::delta(before, after), "store.save_skipped"),
+              1);
+  }
+
+  // A save fault has no save to break: no warning, the file as it was,
+  // every result served from it.
+  if (!fault::kEnabled) return;
+  const DisarmOnExit disarm;
+  for (const Kind kind : {Kind::Throw, Kind::Corrupt}) {
+    SCOPED_TRACE(kind == Kind::Throw ? "throw" : "corrupt");
+    Schedule s;
+    s.triggers.push_back({"store.save", kind, 0, true, 0, ""});
+    Injector::global().arm(s);
+    const BatchResult armed = core::compile_many(jobs, 2);
+    Injector::global().disarm();
+    EXPECT_FALSE(armed.store.saved);
+    EXPECT_TRUE(armed.store_diags.empty())
+        << armed.store_diags.front().message;
+    EXPECT_TRUE(file_id(path) == written);
+    ASSERT_EQ(armed.results.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      EXPECT_TRUE(armed.results[i].from_cache) << "job " << i;
+      EXPECT_TRUE(armed.results[i].same_outcome(cold.results[i]))
+          << "job " << i << "\n" << armed.results[i].diag_text();
+    }
+  }
+}
+
+TEST(StoreSave, ColdStartLoadsAlwaysSave) {
+  // A job that can never be cached (its source does not parse), so the
+  // batch learns nothing: only the unusable load makes it save.
+  const TempDir dir("cold_start");
+  const std::string path = dir.file("silc.store");
+  std::vector<BatchJob> jobs;
+  jobs.push_back({Flow::Behavioral, "this is not a design", quick("broken")});
+  jobs[0].options.cache_dir = dir.path.string();
+
+  store::Store good;
+  good.put("drc", "k", "v");
+  ASSERT_TRUE(good.save(path));
+  const std::string good_bytes = slurp(path);
+  store::Store skewed(store::kSchemaVersion + 1);
+  skewed.put("drc", "k", "v");
+  ASSERT_TRUE(skewed.save(path));
+  const std::string skewed_bytes = slurp(path);
+
+  struct Start {
+    const char* what;
+    bool exists;
+    std::string bytes;
+  };
+  const Start starts[] = {
+      {"missing file", false, ""},
+      {"truncated file", true, good_bytes.substr(0, good_bytes.size() - 7)},
+      {"schema-skewed file", true, skewed_bytes},
+  };
+  for (const Start& start : starts) {
+    SCOPED_TRACE(start.what);
+    std::filesystem::remove(path);
+    if (start.exists) spit(path, start.bytes);
+    const BatchResult br = core::compile_many(jobs, 1);
+    EXPECT_EQ(br.ok_count(), 0u);
+    EXPECT_TRUE(br.store.saved);
+    EXPECT_GT(br.store.file_bytes, 0u);
+    store::Store back;
+    EXPECT_TRUE(back.load(path)) << back.load_error();
+    EXPECT_EQ(back.records(), 0u);
+  }
+}
+
+TEST(StoreSave, EvictionsAndPoisonedEntriesForceASave) {
+  const TempDir dir("evict");
+  const std::string cache_dir = dir.path.string();
+  const std::string path = dir.file("silc.store");
+  ASSERT_TRUE(core::compile_many(save_jobs(cache_dir), 2).store.saved);
+
+  {
+    core::CacheSet caches;
+    ASSERT_TRUE(caches.load(cache_dir));
+    const FileId id = file_id(path);
+    ASSERT_TRUE(caches.save(cache_dir));
+    EXPECT_FALSE(caches.saved) << "a clean load that learned nothing";
+    EXPECT_EQ(caches.file_bytes, id.bytes.size());
+    EXPECT_TRUE(file_id(path) == id);
+
+    // An LRU eviction drops entries the file has: the file must follow.
+    caches.result.set_capacity(1);
+    ASSERT_TRUE(caches.save(cache_dir));
+    EXPECT_TRUE(caches.saved) << "an eviction must be saved";
+    store::Store back;
+    ASSERT_TRUE(back.load(path));
+    int results = 0;
+    back.for_each("result",
+                  [&](const std::string&, const std::string&) { ++results; });
+    EXPECT_EQ(results, 1);
+    ASSERT_TRUE(caches.save(cache_dir));
+    EXPECT_FALSE(caches.saved) << "the save put file and caches in sync";
+  }
+
+  // A result payload that passes its record checksum but does not decode:
+  // the load is clean, the first hit poisons it, and the save drops it.
+  store::Store s;
+  ASSERT_TRUE(s.load(path));
+  std::string key;
+  s.for_each("result",
+             [&](const std::string& k, const std::string&) { key = k; });
+  ASSERT_FALSE(key.empty());
+  s.put("result", key, "not a compile result");
+  ASSERT_TRUE(s.save(path));
+
+  core::CacheSet caches;
+  ASSERT_TRUE(caches.load(cache_dir));
+  store::Reader kr(key);
+  const std::uint64_t fp = core::ResultCodec::decode_key(kr);
+  CompileResult r;
+  EXPECT_FALSE(caches.result.find(fp, &r));
+  EXPECT_EQ(caches.result.poisoned(), 1u);
+  ASSERT_TRUE(caches.save(cache_dir));
+  EXPECT_TRUE(caches.saved) << "a poison eviction must be saved";
+  store::Store back;
+  ASSERT_TRUE(back.load(path));
+  EXPECT_EQ(back.get("result", key), nullptr);
+}
+
+TEST(StoreSave, CachesHoldingMoreThanTheFileForceASave) {
+  // Caches loaded from two files hold more than either, so saving to the
+  // second must write even though both loads were clean.
+  const TempDir a("union_a");
+  const TempDir b("union_b");
+  const std::vector<BatchJob> jobs = save_jobs("");
+  std::vector<BatchJob> first = {jobs[0]};
+  std::vector<BatchJob> second = {jobs[1]};
+  first[0].options.cache_dir = a.path.string();
+  second[0].options.cache_dir = b.path.string();
+  ASSERT_TRUE(core::compile_many(first, 1).store.saved);
+  ASSERT_TRUE(core::compile_many(second, 1).store.saved);
+
+  core::CacheSet caches;
+  ASSERT_TRUE(caches.load(a.path.string()));
+  ASSERT_TRUE(caches.load(b.path.string()));
+  ASSERT_TRUE(caches.save(b.path.string()));
+  EXPECT_TRUE(caches.saved);
+  store::Store back;
+  ASSERT_TRUE(back.load(b.file("silc.store")));
+  int results = 0;
+  back.for_each("result",
+                [&](const std::string&, const std::string&) { ++results; });
+  EXPECT_EQ(results, 2);
+}
+
+TEST(StoreSave, WarmBatchThatLearnsWritesTheColdBytes) {
+  const TempDir warm_dir("learn_warm");
+  const TempDir cold_dir("learn_cold");
+  const std::vector<BatchJob> all = save_jobs(warm_dir.path.string());
+  const std::vector<BatchJob> some(all.begin(), all.end() - 1);
+  ASSERT_TRUE(core::compile_many(some, 2).store.saved);
+  const BatchResult warm = core::compile_many(all, 2);
+  EXPECT_EQ(warm.store.hits, some.size());
+  EXPECT_EQ(warm.store.misses, 1u);
+  EXPECT_TRUE(warm.store.saved);
+
+  const BatchResult cold =
+      core::compile_many(save_jobs(cold_dir.path.string()), 2);
+  EXPECT_TRUE(cold.store.saved);
+  EXPECT_EQ(warm.store.file_bytes, cold.store.file_bytes);
+  EXPECT_TRUE(slurp(warm_dir.file("silc.store")) ==
+              slurp(cold_dir.file("silc.store")))
+      << "a warm batch that learned one design wrote other bytes than a "
+         "cold batch over the same jobs";
+}
+
+TEST(StoreSave, StandaloneCompileSavesOnlyWhatItLearns) {
+  const TempDir dir("standalone_save");
+  const std::string path = dir.file("silc.store");
+  CompileOptions o = quick("gray2");
+  o.cache_dir = dir.path.string();
+  Library cold_lib("cold");
+  const CompileResult cold =
+      core::compile(cold_lib, Flow::Behavioral, silc_fixtures::kGray2Source, o);
+  ASSERT_TRUE(cold.ok()) << cold.diag_text();
+  const FileId written = file_id(path);
+
+  // A warm compile is a hit: the file stays, and an armed save fault finds
+  // no save to break (a save warning would break same_outcome).
+  const DisarmOnExit disarm;
+  if (fault::kEnabled) {
+    Schedule s;
+    s.triggers.push_back({"store.save", Kind::Throw, 0, true, 0, ""});
+    Injector::global().arm(s);
+  }
+  Library warm_lib("warm");
+  const CompileResult warm =
+      core::compile(warm_lib, Flow::Behavioral, silc_fixtures::kGray2Source, o);
+  Injector::global().disarm();
+  EXPECT_TRUE(warm.from_cache);
+  EXPECT_TRUE(warm.same_outcome(cold)) << warm.diag_text();
+  EXPECT_TRUE(file_id(path) == written) << "a warm compile rewrote the store";
+
+  // A design the store lacks is learned and saved.
+  CompileOptions t = quick("traffic");
+  t.cache_dir = dir.path.string();
+  Library lib("traffic");
+  const CompileResult fresh = core::compile(
+      lib, Flow::Behavioral, silc_fixtures::kTrafficSource, t);
+  ASSERT_TRUE(fresh.ok()) << fresh.diag_text();
+  EXPECT_FALSE(file_id(path) == written);
+  store::Store back;
+  ASSERT_TRUE(back.load(path));
+  int results = 0;
+  back.for_each("result",
+                [&](const std::string&, const std::string&) { ++results; });
+  EXPECT_EQ(results, 2);
+}
+
+TEST(StoreSave, WarmBatchesAgreeAcrossThreadCounts) {
+  // Each thread count gets its own copy of one warm store. Every copy must
+  // serve the same results, and after learning the same design must write
+  // the same bytes.
+  const TempDir seed_dir("threads_seed");
+  std::vector<BatchJob> some = save_jobs(seed_dir.path.string());
+  some.pop_back();
+  ASSERT_TRUE(core::compile_many(some, 1).store.saved);
+  const std::string seed_bytes = slurp(seed_dir.file("silc.store"));
+
+  std::vector<BatchResult> served_runs;
+  std::vector<BatchResult> learned_runs;
+  std::vector<std::string> files;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const std::string tag = "threads_" + std::to_string(threads);
+    const TempDir dir(tag.c_str());
+    spit(dir.file("silc.store"), seed_bytes);
+    const std::vector<BatchJob> all = save_jobs(dir.path.string());
+    const std::vector<BatchJob> warm(all.begin(), all.end() - 1);
+    served_runs.push_back(core::compile_many(warm, threads));
+    EXPECT_EQ(served_runs.back().store.hits, warm.size());
+    EXPECT_FALSE(served_runs.back().store.saved);
+    learned_runs.push_back(core::compile_many(all, threads));
+    EXPECT_TRUE(learned_runs.back().store.saved);
+    files.push_back(slurp(dir.file("silc.store")));
+  }
+  for (std::size_t i = 0; i < some.size(); ++i) {
+    EXPECT_TRUE(served_runs[1].results[i].from_cache) << "job " << i;
+    EXPECT_TRUE(
+        served_runs[1].results[i].same_outcome(served_runs[0].results[i]))
+        << "warm job " << i << " differs at 4 threads";
+  }
+  for (std::size_t i = 0; i < learned_runs[0].results.size(); ++i) {
+    EXPECT_TRUE(
+        learned_runs[1].results[i].same_outcome(learned_runs[0].results[i]))
+        << "learning job " << i << " differs at 4 threads";
+  }
+  EXPECT_TRUE(files[0] == files[1])
+      << "the store a warm batch wrote depends on the thread count";
 }
 
 }  // namespace
